@@ -28,7 +28,6 @@ from repro.harness.machines import Machine
 from repro.mpi import MPIContext, MPIProcDriver
 from repro.network import Cluster
 from repro.sim import Engine, derive_rng
-from repro.sim.engine import SimulationError
 from repro.tampi import TAMPI
 from repro.tasking import Runtime, RuntimeConfig
 from repro.trace import MetricsRegistry, Tracer
@@ -346,34 +345,14 @@ class Job:
         budget of N allows exactly N events to fire before raising.
         """
         eng = self.engine
-        fired = 0
         pending = list(procs)
-        # Completion is counted by callback instead of scanning every
-        # process per event — the scan is O(n_ranks) and dominates
-        # large-rank jobs.
-        live = [0]
-
-        def _done(_event, live=live):
-            live[0] -= 1
-
-        for p in pending:
-            if not p.triggered:
-                live[0] += 1
-                p.add_callback(_done)
-        while live[0] > 0:
-            if eng.peek() == float("inf"):
-                alive = [p.name for p in pending if not p.triggered]
-                msg = f"job deadlocked; still alive: {alive}"
-                an = eng.analysis
-                if an.enabled:
-                    report = an.deadlock_report()
-                    if report:
-                        msg += "\n" + report
-                raise SimulationError(msg)
-            if max_events is not None and fired >= max_events:
-                raise eng.budget_error(max_events)
-            eng.step()
-            fired += 1
+        # One engine call for the whole job: the run stops exactly after
+        # the event that completes the last main process (completion is
+        # counted by callback inside the engine, never by scanning ranks).
+        eng.run(max_events=max_events, until_done=pending)
+        alive = [p.name for p in pending if not p.triggered]
+        if alive:  # the queue drained first
+            raise eng.diagnosed(f"job deadlocked; still alive: {alive}")
         for p in pending:
             if p.ok is False:
                 raise p.value

@@ -59,16 +59,12 @@ import os
 from collections import deque
 import math
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional, TYPE_CHECKING
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.analysis.pipeline import NULL_ANALYSIS
 from repro.trace.tracer import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.events import Event
-    from repro.sim.process import Process
 
 _INF = float("inf")
 
@@ -116,6 +112,7 @@ class ObjectEngine:
         "_seq",
         "_trace",
         "_running",
+        "_stop",
         "_event_count",
         "_cancelled",
         "_qgen",
@@ -141,6 +138,10 @@ class ObjectEngine:
         self._seq: int = 0
         self._trace = trace
         self._running = False
+        #: set by the ``run(until_done=...)`` watcher when the last watched
+        #: process completes; every dispatch loop tests it at its outer-loop
+        #: boundary (the watcher also bumps ``_qgen`` to end an event run)
+        self._stop = False
         self._event_count = 0
         #: lazily-cancelled entries still sitting in the queue lanes
         self._cancelled = 0
@@ -208,7 +209,7 @@ class ObjectEngine:
 
         Cancelled entries surfacing at a lane head are discarded here, so
         ``peek()`` doubles as the lazy-deletion cleanup point for drivers
-        that step the engine manually (``Job.run``, test harnesses)."""
+        that step the engine manually (``_run_traced``, test harnesses)."""
         self._clean_heads()
         lane = self._lane
         heap = self._heap
@@ -333,28 +334,18 @@ class ObjectEngine:
     # factories (sugar used throughout the code base)
     # ------------------------------------------------------------------
     def event(self) -> "Event":
-        from repro.sim.events import Event
-
         return Event(self)
 
     def timeout(self, delay: float, value: object = None) -> "Event":
-        from repro.sim.events import Timeout
-
         return Timeout(self, delay, value)
 
     def process(self, generator) -> "Process":
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     def all_of(self, events: Iterable["Event"]) -> "Event":
-        from repro.sim.events import AllOf
-
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable["Event"]) -> "Event":
-        from repro.sim.events import AnyOf
-
         return AnyOf(self, list(events))
 
     # ------------------------------------------------------------------
@@ -412,15 +403,17 @@ class ObjectEngine:
         """The event-budget-exhausted error, including how many events are
         still queued but unfired — a drained-vs-live queue distinguishes a
         genuine deadlock from a model that is simply still making progress.
-        Lazily-cancelled corpses are excluded from the count. With the
-        analysis pipeline enabled, the wait-for diagnosis is appended so a
-        budget hit caused by a communication deadlock names the cycle
-        instead of just counting events."""
-        msg = (
+        Lazily-cancelled corpses are excluded from the count."""
+        return self.diagnosed(
             f"event budget exhausted ({max_events} events fired) at "
             f"t={self._now:.6g}s with {self.queue_depth} queued-but-unfired "
             f"events still pending"
         )
+
+    def diagnosed(self, msg: str) -> SimulationError:
+        """``SimulationError(msg)``; with the analysis pipeline enabled the
+        wait-for diagnosis is appended, so a drained queue or a budget hit
+        caused by a communication deadlock names the cycle."""
         an = self.analysis
         if an.enabled:
             report = an.deadlock_report()
@@ -429,9 +422,17 @@ class ObjectEngine:
         return SimulationError(msg)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None,
-            trace_every: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or the event
-        budget ``max_events`` is exhausted.
+            trace_every: Optional[int] = None,
+            until_done: Optional[Iterable["Event"]] = None) -> float:
+        """Run until the queue drains, ``until`` is reached, the event
+        budget ``max_events`` is exhausted, or every event (process) in
+        ``until_done`` has fired.
+
+        The ``until_done`` stop is exact: the run ends right after the
+        event whose callbacks complete the last watched process, and
+        everything queued behind it stays queued — the state a
+        ``peek()``/``step()`` driver that re-tests the processes after
+        every event would leave (tests/test_stop_contract.py).
 
         ``trace_every`` emits a progress record to the engine's tracer every
         N fired events (independent of the tracer's own ``progress_every``),
@@ -443,6 +444,21 @@ class ObjectEngine:
             raise SimulationError("engine is already running (re-entrant run())")
         if trace_every is not None and trace_every < 1:
             raise SimulationError(f"trace_every must be >= 1, got {trace_every}")
+        live = [0]
+        if until_done is not None:
+            def done(_event):
+                live[0] -= 1
+                if not live[0]:
+                    # the _qgen bump ends the lane/timeline run in flight;
+                    # the outer loops then see the flag
+                    self._stop = True
+                    self._qgen += 1
+
+            for ev in until_done:
+                if not ev._triggered:
+                    live[0] += 1
+                    ev.callbacks.append(done)
+            self._stop = not live[0]
         self._running = True
         try:
             if (self._trace is None and trace_every is None
@@ -450,7 +466,8 @@ class ObjectEngine:
                 return self._run_fast(until, max_events)
             return self._run_traced(until, max_events, trace_every)
         finally:
-            self._running = False
+            self._running = self._stop = False
+            live[0] = 0  # watchers an aborted run leaves behind are inert
 
     def run_window(self, until: float,
                    max_events: Optional[int] = None) -> float:
@@ -503,7 +520,7 @@ class ObjectEngine:
             if until is None and max_events is None:
                 # Unbounded: the tightest loop. Lane-vs-heap selection is
                 # inlined (same (time, priority, seq) order as _lane_first).
-                while True:
+                while not self._stop:
                     if lane:
                         if heap:
                             he = heap[0]
@@ -548,6 +565,8 @@ class ObjectEngine:
             limit = _INF if until is None else until
             budget = _INF if max_events is None else max_events
             while True:
+                if self._stop:
+                    return self._now
                 if lane:
                     if heap and not lane_first(self._now, lane[0]._lseq,
                                                heap[0]):
@@ -605,7 +624,7 @@ class ObjectEngine:
                     trace_every: Optional[int]) -> float:
         """Observable loop: one :meth:`step` per event, all hooks live."""
         fired = 0
-        while True:
+        while not self._stop:
             next_time = self.peek()
             if next_time == _INF:
                 if until is not None and until > self._now:
@@ -629,23 +648,11 @@ class ObjectEngine:
         """Run until ``process`` terminates; return its value or re-raise its
         failure. Raises if the queue drains while the process is still alive
         (i.e. the model deadlocked)."""
-        fired = 0
-        while not process.triggered:
-            if self.peek() == _INF:
-                msg = (
-                    f"deadlock: event queue drained at t={self._now:.6g}s "
-                    f"with process {process!r} still pending"
-                )
-                an = self.analysis
-                if an.enabled:
-                    report = an.deadlock_report()
-                    if report:
-                        msg += "\n" + report
-                raise SimulationError(msg)
-            if max_events is not None and fired >= max_events:
-                raise self.budget_error(max_events)
-            self.step()
-            fired += 1
+        self.run(max_events=max_events, until_done=(process,))
+        if not process.triggered:
+            raise self.diagnosed(
+                f"deadlock: event queue drained at t={self._now:.6g}s "
+                f"with process {process!r} still pending")
         if not process.ok:
             raise process.value  # type: ignore[misc]
         return process.value
@@ -727,11 +734,13 @@ class BatchedEngine(ObjectEngine):
     # scheduling
     # ------------------------------------------------------------------
     def _compact_tl(self) -> None:
-        """Reclaim the consumed prefix when it dominates the ring.
+        """Reclaim the consumed prefix when it dominates the ring, so the
+        ring holds O(live) slots even when the lane never drains.
 
-        Only called when the engine is *not* inside a dispatch loop (the
-        loops hold a local head cursor; shifting under them would corrupt
-        it), so the amortized O(live) cost lands on quiescent append."""
+        Called on append, also under a running dispatch loop (jobs run
+        inside :meth:`run`): every append bumps ``_qgen``, which sends the
+        loop back to its outer boundary — where it re-reads the head cursor
+        and length — before it touches the ring again."""
         head = self._tl_head
         if head and head * 2 >= len(self._tl_times):
             del self._tl_times[:head]
@@ -751,8 +760,7 @@ class BatchedEngine(ObjectEngine):
             # only overlapping wire batches from unrelated clusters).
             super().schedule_batch(arr, events)
             return
-        if not self._running:
-            self._compact_tl()
+        self._compact_tl()
         self._qgen += 1
         seq0 = self._seq
         self._seq = seq0 + n
@@ -830,6 +838,8 @@ class BatchedEngine(ObjectEngine):
         fired = 0
         try:
             while True:
+                if self._stop:
+                    return self._now
                 th = self._tl_head
                 ntl = len(tlt)
                 if th >= ntl:
@@ -1070,6 +1080,8 @@ class BatchedEngine(ObjectEngine):
         fired = 0
         try:
             while True:
+                if self._stop:
+                    return self._now
                 th = self._tl_head
                 ntl = len(tlt)
                 if th >= ntl:
@@ -1273,3 +1285,8 @@ def _default_engine_class():
 #: The engine class the rest of the code base instantiates; resolved from
 #: the ``REPRO_ENGINE`` environment variable at import time.
 Engine = _default_engine_class()
+
+# The event classes need ``Engine`` (above) to exist before they can be
+# defined; the factories bind them here, once, instead of per call.
+from repro.sim.events import AllOf, AnyOf, Event, Timeout  # noqa: E402
+from repro.sim.process import Process  # noqa: E402

@@ -11,12 +11,10 @@ events but only in the small form the reproduction needs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from heapq import heappush
+from typing import Callable, List, Optional
 
-from repro.sim.engine import Engine, SimulationError, PRIORITY_NORMAL
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.sim.engine import Engine, SimulationError, PRIORITY_NORMAL, _INF
 
 
 class Event:
@@ -163,9 +161,23 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: Engine, delay: float, value: object = None):
-        super().__init__(engine)
+        # One frame for the most-constructed event: Event.__init__,
+        # succeed() and Engine.schedule() inlined (docs/performance.md).
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"non-finite or negative delay {delay!r}")
+        self.engine = engine
+        self.callbacks = []
+        self._triggered = self._defused = self._cancelled = False
+        self._ok = self._scheduled = True
+        self._value = value
         self.delay = delay
-        self.succeed(value, delay=delay)
+        engine._seq = seq = engine._seq + 1
+        if delay:
+            engine._qgen += 1
+            heappush(engine._heap, (engine._now + delay, 0, seq, self))
+        else:
+            self._lseq = seq
+            engine._lane.append(self)
 
 
 class _Condition(Event):

@@ -85,11 +85,13 @@ class Process(Event):
         prev_ctx = engine.current_context
         engine.current_context = self.context
         try:
-            if event.ok is False:
+            # `event` has fired, so its slots are read directly (the `ok` /
+            # `value` properties only add a frame and a pending-guard here)
+            if event._ok is False:
                 event._defused = True
-                target = self.generator.throw(event.value)  # type: ignore[arg-type]
+                target = self.generator.throw(event._value)  # type: ignore[arg-type]
             else:
-                target = self.generator.send(event.value if event is not self else None)
+                target = self.generator.send(event._value if event is not self else None)
         except StopIteration as stop:
             self.succeed(stop.value, priority=PRIORITY_URGENT)
             return
@@ -111,7 +113,10 @@ class Process(Event):
             self.fail(SimulationError(f"process {self.name!r} waited on itself"))
             return
         self._target = target
-        target.add_callback(self._resume_cb)
+        if target._triggered:  # inlined Event.add_callback
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else ("finishing" if self._scheduled else "alive")
