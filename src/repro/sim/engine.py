@@ -226,6 +226,8 @@ class ObjectEngine:
     # ------------------------------------------------------------------
     def schedule(self, event: "Event", delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
         """Arrange for ``event`` to fire ``delay`` seconds from now."""
+        # NOTE: Event.succeed and Timeout.__init__ (events.py) inline this
+        # body — keep the validation and the lane rule in sync with them.
         # The single comparison rejects negative, inf, *and* NaN delays
         # (NaN fails every comparison): any of them would poison queue
         # ordering or park events at unreachable times.

@@ -27,6 +27,7 @@ class Event:
                  "_scheduled", "_defused", "_cancelled", "_lseq")
 
     def __init__(self, engine: Engine):
+        # NOTE: Timeout.__init__ inlines this body — keep the two in sync.
         self.engine = engine
         self.callbacks: List[Callable[["Event"], None]] = []
         self._triggered = False

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Engine, SimulationError, Interrupt, Mutex
+from repro.sim import (BatchedEngine, Engine, Interrupt, Mutex, ObjectEngine,
+                       SimulationError)
 from repro.sim.engine import PRIORITY_URGENT
 from repro.sim.events import Event, Timeout, AllOf, AnyOf
 
@@ -293,6 +294,43 @@ class TestScheduleValidation:
         with pytest.raises(SimulationError):
             Event(eng).succeed(delay=delay)
         assert eng.queue_depth == 0
+
+
+class TestTimeoutInlining:
+    """``Timeout.__init__`` is a hand-inlined ``Event.__init__`` +
+    ``succeed`` + ``Engine.schedule``: it must leave the engine and the
+    event exactly as ``Event(eng).succeed(value, delay)`` does."""
+
+    @staticmethod
+    def _state(eng, ev):
+        slots = {s: getattr(ev, s, "<unset>") for s in Event.__slots__
+                 if s not in ("engine", "callbacks")}
+        return (eng._seq, eng._qgen, eng.queue_depth, eng.peek(),
+                [e._lseq for e in eng._lane],
+                [entry[:3] for entry in eng._heap],
+                ev.engine is eng, ev.callbacks, slots)
+
+    @pytest.mark.parametrize("value", [None, "v"])
+    @pytest.mark.parametrize("delay", [0.0, 2.5])
+    @pytest.mark.parametrize("engine_cls", [ObjectEngine, BatchedEngine],
+                             ids=lambda c: c.__name__)
+    def test_matches_event_succeed(self, engine_cls, delay, value):
+        states = []
+        for make in (lambda eng: Timeout(eng, delay, value),
+                     lambda eng: Event(eng).succeed(value, delay=delay)):
+            eng = engine_cls()
+            eng.timeout(1.0)
+            eng.run()                       # now = 1.0, _seq and _qgen moved
+            eng.timeout(4.0)                # something already queued
+            states.append(self._state(eng, make(eng)))
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
+    def test_rejects_what_schedule_rejects(self, delay):
+        eng = Engine()
+        with pytest.raises(SimulationError, match="delay"):
+            Timeout(eng, delay)
+        assert eng.queue_depth == 0 and eng._seq == 0
 
 
 class TestCancellation:
