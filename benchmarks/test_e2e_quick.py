@@ -2,12 +2,13 @@
 
 That test ends on ``step_calls == events_fired`` for every workload, which
 pinned the per-event ``Job.run`` driver; jobs now make one
-``Engine.run(until_done=...)`` call, so it reads 0 everywhere except on
-the observed workload (``_run_traced`` steps). ``benchmarks/e2e`` is the
-benchmark's own directory and may not change in the PR that moves the
-number, so the stale test is a strict xfail (``benchmarks/conftest.py``)
-and every one of its assertions lives here with that one line re-pinned.
-Delete this file and the xfail once the original is re-pinned.
+``Engine.run(until_done=...)`` call whose loop never calls ``step()`` or
+``peek()``, observed or not, so both read 0 on all six workloads.
+``benchmarks/e2e`` is the benchmark's own directory and may not change in
+the PR that moves the number, so the stale test is a strict xfail
+(``benchmarks/conftest.py``) and every one of its assertions lives here
+with that one line re-pinned. Delete this file and the xfail once the
+original is re-pinned.
 """
 
 import json
@@ -41,6 +42,6 @@ def test_quick_runs_all_passes(tmp_path):
     assert layers["cg_backends"]["collectives.share"]["value"] > 0
     assert layers["gs_hybrid_observed"]["observe.overhead_ratio"]["value"] > 1
     for name, m in layers.items():
-        stepped = m["sim.events_fired"]["value"] if name == "gs_hybrid_observed" else 0
-        assert m["sim.engine.step_calls"]["value"] == stepped, name
+        assert m["sim.engine.step_calls"]["value"] == 0, name
+        assert m["sim.engine.peek_calls"]["value"] == 0, name
         assert m["sim.engine.run_calls"]["value"] == m["harness.jobs"]["value"], name

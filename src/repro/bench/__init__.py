@@ -2,8 +2,7 @@
 
 ``python -m repro.bench`` runs the pinned suite and drops one
 ``BENCH_<name>.json`` per benchmark; see docs/performance.md for how to
-read and refresh the artifacts. The frozen pre-overhaul kernel used as the
-in-run baseline lives in :mod:`repro.bench.legacy`.
+read and refresh the artifacts.
 """
 
 from repro.bench.cli import main

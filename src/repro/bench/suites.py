@@ -1,22 +1,6 @@
 """The pinned microbenchmark suite behind ``python -m repro.bench``.
 
-Eight benchmarks, each emitting one ``BENCH_<name>.json``:
-
-``engine``
-    Events/sec through :meth:`Engine.run` on three workloads, against the
-    frozen pre-overhaul :class:`~repro.bench.legacy.LegacyEngine` measured
-    in the same run:
-
-    * *timers* — batches of distinct-deadline timer events (pure heap
-      dispatch);
-    * *cascade* — chains of immediate (``delay=0``) events, each fire
-      scheduling the next (the FIFO immediate-lane path, shallow queue);
-    * *churn*  — immediate-event chains firing while a few thousand
-      far-future timers stay resident in the heap. This is the headline
-      workload: it is the shape of a real simulation mid-run (in-flight
-      transfer completions pending while condition/notify cascades resolve
-      at ``now``), and it is where the legacy engine pays two full-depth
-      heap sifts per immediate event that the lane engine avoids.
+Seven benchmarks, each emitting one ``BENCH_<name>.json``:
 
 ``matching``
     Matches/sec posting receives and delivering messages across a
@@ -91,9 +75,7 @@ import statistics
 import time
 from typing import Callable, Dict, List
 
-from repro.bench.legacy import LegacyEngine, LegacyEvent
 from repro.sim.engine import Engine
-from repro.sim.events import Event
 
 _BUILDERS: Dict[str, Callable[..., dict]] = {}
 
@@ -155,91 +137,6 @@ def _best_of_pair(reps: int, build_a, run_a, build_b, run_b):
     """min-of-``reps`` of :func:`_pairs`: ``(best_a, best_b)``."""
     a, b = _pairs(reps, build_a, run_a, build_b, run_b)
     return min(a), min(b)
-
-
-# ----------------------------------------------------------------------
-# engine
-# ----------------------------------------------------------------------
-def _timers(eng_cls, ev_cls, n: int, k: int = 64):
-    engines = []
-    for _ in range(n // k):
-        eng = eng_cls()
-        for i in range(k):
-            ev_cls(eng).succeed(delay=(i + 1) * 1e-6)
-        engines.append(eng)
-    return engines
-
-
-def _cascade(eng_cls, ev_cls, n: int, k: int = 64):
-    engines = []
-    for _ in range(n // k):
-        eng = eng_cls()
-        evs = [ev_cls(eng) for _ in range(k)]
-        for a, b in zip(evs, evs[1:]):
-            a.callbacks.append(lambda _e, nxt=b: nxt.succeed())
-        evs[0].succeed()
-        engines.append(eng)
-    return engines
-
-
-def _churn(eng_cls, ev_cls, n: int, k: int = 64, resident: int = 2048):
-    eng = eng_cls()
-    resident = min(resident, n // 2)
-    for i in range(resident):
-        ev_cls(eng).succeed(delay=1.0 + i * 1e-6)
-    for c in range((n - resident) // k):
-        evs = [ev_cls(eng) for _ in range(k)]
-        for a, b in zip(evs, evs[1:]):
-            a.callbacks.append(lambda _e, nxt=b: nxt.succeed())
-        evs[0].succeed(delay=c * 1e-9)
-    return [eng]
-
-
-_ENGINE_WORKLOADS = {
-    "timers": _timers,
-    "cascade": _cascade,
-    "churn": _churn,
-}
-
-#: the workload whose speedup is the benchmark's headline number
-_ENGINE_HEADLINE = "churn"
-
-
-@_register
-def bench_engine(quick: bool = False) -> dict:
-    n = 20_000 if quick else 200_000
-    reps = 2 if quick else 7
-    workloads = {}
-    for wname, make in _ENGINE_WORKLOADS.items():
-        def run_all(engines):
-            for eng in engines:
-                eng.run()
-
-        legacy_s, fast_s = _best_of_pair(
-            reps,
-            lambda: make(LegacyEngine, LegacyEvent, n), run_all,
-            lambda: make(Engine, Event, n), run_all,
-        )
-        workloads[wname] = {
-            "events": n,
-            "legacy_wall_s": legacy_s,
-            "wall_s": fast_s,
-            "legacy_events_per_s": n / legacy_s,
-            "events_per_s": n / fast_s,
-            "speedup": legacy_s / fast_s,
-        }
-    head = workloads[_ENGINE_HEADLINE]
-    return {
-        "name": "engine",
-        "unit": "events/s",
-        "headline_workload": _ENGINE_HEADLINE,
-        "events_fired": head["events"],
-        "wall_s": head["wall_s"],
-        "throughput": head["events_per_s"],
-        "speedup": head["speedup"],
-        "workloads": workloads,
-        "quick": quick,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +235,7 @@ def _run_nic_batch(subject):
 
 @_register
 def bench_nic(quick: bool = False) -> dict:
-    """Batched (``Cluster.send_batch`` + timeline lane) vs. per-message
+    """Batched (``Cluster.send_batch`` + ``schedule_batch``) vs. per-message
     scalar sends, rep-interleaved on identical message streams. The
     in-run scalar measurement is the baseline for the host-independent
     ``speedup`` ratio; the bit-identity of the two paths is asserted on

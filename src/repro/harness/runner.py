@@ -80,8 +80,8 @@ class JobSpec:
     #: available to single-threaded rank processes.
     backend: Optional[str] = None
     #: shard the job across N OS processes with conservative time windows
-    #: (repro.sim.shard). ``None`` follows ``REPRO_ENGINE=sharded`` /
-    #: ``REPRO_SHARDS``; ineligible configs (hybrid variants, tracing,
+    #: (repro.sim.shard). ``None`` follows the ``REPRO_SHARDS``
+    #: environment variable; ineligible configs (hybrid variants, tracing,
     #: checks, faults, perf) silently run on the single engine. Sharded
     #: results are bit-identical to serial ones, so the field is excluded
     #: from result-cache keys (``cache_key=False`` metadata).

@@ -38,12 +38,6 @@ from repro.mpi.requests import Request, RequestState
 from repro.mpi.threading import GlobalLock
 from repro.sim.context import AccumulatingSink, charge_current
 
-#: Route :meth:`MPIRank.isend_batch` wire injection through the vectorized
-#: :meth:`Cluster.send_batch` path. When ``False`` the same messages go out
-#: one :meth:`Cluster.send` at a time with identical per-message departure
-#: delays — the scalar oracle the bit-identity tests toggle against.
-BATCH_WIRE = True
-
 
 class MPIContext:
     """A simulated ``MPI_COMM_WORLD`` over a cluster's placed ranks."""
@@ -162,9 +156,9 @@ class MPIRank:
         for ``n * mpi.call`` seconds and message *j* departs when its slice
         of the hold completes, so the grant arithmetic for a single-message
         batch is bit-identical to :meth:`isend`. The wire side goes through
-        :meth:`Cluster.send_batch` (or the per-message :meth:`Cluster.send`
-        loop when :data:`BATCH_WIRE` is off — same departure delays, same
-        results, which the bit-identity tests assert).
+        :meth:`Cluster.send_batch`, which is bit-identical to one
+        :meth:`Cluster.send` per message with the same departure delays
+        (``TestBatchWirePath`` in tests/test_network.py).
 
         Any message larger than ``mpi.eager_threshold`` needs the
         rendezvous handshake, which cannot batch; those calls fall back to
@@ -205,11 +199,7 @@ class MPIRank:
                 self.rank, dest, "mpi", "eager", nbytes + CONTROL_BYTES,
                 payload, meta={"tag": tag},
             ))
-        if BATCH_WIRE:
-            local_done = self.cluster.send_batch(msgs, depart_delay=departs)
-        else:
-            local_done = [self.cluster.send(m, depart_delay=float(d))
-                          for m, d in zip(msgs, departs)]
+        local_done = self.cluster.send_batch(msgs, depart_delay=departs)
         for req, done in zip(reqs, local_done):
             req.complete_at(float(done))
         return reqs

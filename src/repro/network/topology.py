@@ -462,7 +462,7 @@ class Cluster:
             eng.schedule_at(events[0], times[0])
         elif times:
             # Ingress grant ends are non-decreasing in drain order, so the
-            # block is already sorted for the timeline lane.
+            # block is already sorted as schedule_batch requires.
             eng.schedule_batch(np.asarray(times, dtype=np.float64), events)
         if pending:
             self._arm_wake(node, pending[0][0])

@@ -19,13 +19,7 @@ Design goals (see DESIGN.md §1):
   analysis (§VI-C).
 """
 
-from repro.sim.engine import (
-    BatchedEngine,
-    Engine,
-    Interrupt,
-    ObjectEngine,
-    SimulationError,
-)
+from repro.sim.engine import Engine, Interrupt, SimulationError
 from repro.sim.events import Event, Timeout, AllOf, AnyOf
 from repro.sim.process import Process
 from repro.sim.resources import Mutex, Resource, Store
@@ -33,8 +27,6 @@ from repro.sim.rng import SeedSequence, derive_rng
 
 __all__ = [
     "Engine",
-    "ObjectEngine",
-    "BatchedEngine",
     "SimulationError",
     "Interrupt",
     "Event",

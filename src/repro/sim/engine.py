@@ -9,53 +9,36 @@ monotonically increasing insertion counter, so events scheduled for the same
 instant fire in insertion order unless an explicit priority says otherwise.
 Lower priority values fire first.
 
-Two engine implementations share that contract and are interchangeable
-(``REPRO_ENGINE=object|batched`` selects which one the :data:`Engine` alias
-names; ``batched`` is the default):
-
-* :class:`ObjectEngine` — the two-lane per-event dispatcher (heap + FIFO
-  immediate lane). Retained verbatim as the *differential oracle*: the
-  property tests in tests/test_properties.py replay randomized schedules on
-  both engines and require identical fire order, time, and event counts,
-  the same pattern that keeps ``LinearMatchingEngine`` next to the indexed
-  MPI matcher.
-* :class:`BatchedEngine` — the array-native hot core (docs/performance.md).
-  It adds a third *timeline lane*: a ring of parallel arrays (times, seqs,
-  events) appended in sorted order by :meth:`ObjectEngine.schedule_batch`,
-  which the vectorized NIC wire path (:mod:`repro.network.batch`) fills
-  with whole message batches at once. Its run loop pops *runs* of
-  same-lane events and fires them through a tight loop with no heap
-  traffic, re-checking the cross-lane barrier only when a fired callback
-  mutates another lane.
-
-Performance notes (docs/performance.md has the full fast-path contract):
+The queue has two lanes under that one order (docs/performance.md):
 
 * Normal-priority events scheduled with ``delay == 0`` — the dominant
   class in this code base: condition triggers, completion notifications,
-  park/unpark signals — go to a FIFO *immediate lane* (a deque; O(1) in,
-  O(1) out). Everything else goes to the binary heap. Because simulated
-  time never runs backwards and ``seq`` grows monotonically, the lane is
-  always sorted by ``(time, seq)`` by construction; dispatch compares the
-  lane heads on the full ``(time, priority, seq)`` key, so the firing
-  order is *identical* to a single-heap engine (property-tested in
-  tests/test_sim_engine.py).
-* :meth:`Engine.run` dispatches through an inlined fast loop whenever no
-  tracing of any kind is requested — local bindings, no per-event tracer
-  attribute reads, ``until``/``max_events`` guards hoisted out of the
-  common loop. The loop inlines :meth:`Event._fire` (no Event subclass
-  overrides it).
+  park/unpark signals — go to a FIFO *immediate lane* (a deque of bare
+  events; O(1) in, O(1) out). Everything else goes to the binary heap.
+  Because simulated time never runs backwards and ``seq`` grows
+  monotonically, the lane is always sorted by ``(time, seq)`` by
+  construction and every live lane entry fires at exactly ``now``;
+  dispatch compares the lane heads on the full ``(time, priority, seq)``
+  key, so the firing order is *identical* to a single-heap engine
+  (tests/test_properties.py replays randomized schedules against the
+  one-heap reference in tests/reference/heap_engine.py).
 * Cancellation is *lazy*: :meth:`Event.cancel` only flags the entry; the
   engine discards flagged entries as they surface at a lane head, so
   defusing a timeout costs O(1) instead of an O(n) queue rebuild.
-  Introspection (:meth:`peek`, :attr:`queue_depth`, :meth:`budget_error`)
-  reports *live* events only — a counter-based accounting that never
-  scans a lane or ring buffer — so deadlock diagnostics never count
-  corpses.
+  Introspection (:meth:`Engine.peek`, :attr:`Engine.queue_depth`,
+  :meth:`Engine.budget_error`) reports *live* events only, from a counter
+  that never scans a lane, so deadlock diagnostics never count corpses.
+
+:meth:`Engine.run` holds the one dispatch loop: local bindings, the stop
+flag tested once per event, ``until`` and ``max_events`` as compares
+against ``inf``-defaulted locals, :meth:`Event._fire` inlined (no Event
+subclass overrides it), and a per-event observation hook that is ``None``
+unless something can actually emit per event — so a traced, checked or
+``perf=True`` job executes the same loop body as a plain one.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 import math
 from heapq import heappop, heappush
@@ -87,12 +70,8 @@ PRIORITY_NORMAL = 0
 PRIORITY_URGENT = -1
 
 
-class ObjectEngine:
-    """Deterministic discrete-event simulation engine (per-event dispatch).
-
-    This is the reference implementation and differential oracle for
-    :class:`BatchedEngine`; the module-level :data:`Engine` alias picks one
-    of the two from ``REPRO_ENGINE``.
+class Engine:
+    """Deterministic discrete-event simulation engine.
 
     Parameters
     ----------
@@ -115,8 +94,6 @@ class ObjectEngine:
         "_stop",
         "_event_count",
         "_cancelled",
-        "_qgen",
-        "_failed",
         "tracer",
         "analysis",
         "_progress_t0",
@@ -139,19 +116,11 @@ class ObjectEngine:
         self._trace = trace
         self._running = False
         #: set by the ``run(until_done=...)`` watcher when the last watched
-        #: process completes; every dispatch loop tests it at its outer-loop
-        #: boundary (the watcher also bumps ``_qgen`` to end an event run)
+        #: process completes; the dispatch loop tests it once per event
         self._stop = False
         self._event_count = 0
         #: lazily-cancelled entries still sitting in the queue lanes
         self._cancelled = 0
-        #: bumped on every heap/timeline insertion; the batched dispatch
-        #: loops compare it to detect barrier-invalidating mutations
-        self._qgen = 0
-        #: sticky: True once any event has ever fail()ed on this engine.
-        #: While False the immediate lane provably holds successes only,
-        #: so the batched drain can skip the per-event lost-error check.
-        self._failed = False
         #: tracing sink read by every instrumented layer via ``engine.tracer``
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         #: correctness-checker pipeline read by the instrumented layers via
@@ -182,8 +151,12 @@ class ObjectEngine:
         """Number of *live* (non-cancelled) events still queued."""
         return len(self._heap) + len(self._lane) - self._cancelled
 
-    def _clean_heads(self) -> None:
-        """Discard cancelled entries sitting at either lane head."""
+    def _next_is_lane(self) -> Optional[bool]:
+        """Discard cancelled entries at both lane heads, then say where the
+        next live event sits in ``(time, priority, seq)`` order: ``True`` the
+        lane head (it fires at ``now``, priority 0, seq ``_lseq``), ``False``
+        the heap head, ``None`` if the queue is drained. :meth:`run` inlines
+        the same comparison."""
         lane = self._lane
         while lane and lane[0]._cancelled:
             lane.popleft()
@@ -192,42 +165,30 @@ class ObjectEngine:
         while heap and heap[0][3]._cancelled:
             heappop(heap)
             self._cancelled -= 1
-
-    @staticmethod
-    def _lane_first(lt, lseq, he) -> bool:
-        """True if a lane head at time ``lt`` with seq ``lseq`` precedes
-        heap entry ``he`` in the total (time, priority, seq) order (the
-        lane's priority is 0)."""
-        ht = he[0]
-        if lt != ht:
-            return lt < ht
-        hp = he[1]
-        return hp > 0 or (hp == 0 and lseq < he[2])
+        if not heap:
+            return True if lane else None
+        if not lane:
+            return False
+        ht, hp, hseq, _ = heap[0]
+        return self._now < ht or (self._now == ht and (
+            hp > 0 or (hp == 0 and lane[0]._lseq < hseq)))
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none.
 
         Cancelled entries surfacing at a lane head are discarded here, so
         ``peek()`` doubles as the lazy-deletion cleanup point for drivers
-        that step the engine manually (``_run_traced``, test harnesses)."""
-        self._clean_heads()
-        lane = self._lane
-        heap = self._heap
-        if lane:
-            # A live lane head's time is always exactly `now` (see the
-            # lane-format note in __init__), so no entry time is stored.
-            if heap and not self._lane_first(self._now, lane[0]._lseq, heap[0]):
-                return heap[0][0]
-            return self._now
-        return heap[0][0] if heap else _INF
+        that step the engine manually (test harnesses, examples)."""
+        from_lane = self._next_is_lane()
+        if from_lane is None:
+            return _INF
+        return self._now if from_lane else self._heap[0][0]
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
     def schedule(self, event: "Event", delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
         """Arrange for ``event`` to fire ``delay`` seconds from now."""
-        # NOTE: Event.succeed and Timeout.__init__ (events.py) inline this
-        # body — keep the validation and the lane rule in sync with them.
         # The single comparison rejects negative, inf, *and* NaN delays
         # (NaN fails every comparison): any of them would poison queue
         # ordering or park events at unreachable times.
@@ -238,52 +199,22 @@ class ObjectEngine:
             event._lseq = self._seq
             self._lane.append(event)
         else:
-            self._qgen += 1
             heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
-    def _check_batch(self, times, events) -> "np.ndarray":
-        """Validate a ``schedule_batch`` call; returns ``times`` as float64.
-
-        The contract: absolute times, non-decreasing, all ``>= now``, all
-        finite. Checked in two vectorized passes (a NaN anywhere fails the
-        first-element or diff comparison, an inf fails the isfinite check
-        on the largest element)."""
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != len(events):
-            raise SimulationError(
-                f"schedule_batch: {arr.shape} times for {len(events)} events"
-            )
-        n = arr.shape[0]
-        if n and not (
-            arr[0] >= self._now
-            and np.isfinite(arr[n - 1])
-            and (n < 2 or bool(np.all(np.diff(arr) >= 0.0)))
-        ):
-            raise SimulationError(self._diagnose_batch(arr))
-        return arr
 
     def _diagnose_batch(self, arr: "np.ndarray") -> str:
         """Name the first offending index of a rejected batch (shard-
         boundary batches are built far from where they are scheduled, so
         "times must be ..." alone is undebuggable)."""
+        size = f"(batch of {arr.shape[0]})"
         finite = np.isfinite(arr)
         if not finite.all():
             i = int(np.argmin(finite))
-            return (
-                f"schedule_batch: times[{i}]={arr[i]!r} is not finite "
-                f"(batch of {arr.shape[0]})"
-            )
+            return f"schedule_batch: times[{i}]={arr[i]!r} is not finite {size}"
         if arr[0] < self._now:
-            return (
-                f"schedule_batch: times[0]={arr[0]!r} < now={self._now!r} "
-                f"(batch of {arr.shape[0]})"
-            )
-        decr = np.diff(arr) < 0.0
-        i = int(np.argmax(decr))
-        return (
-            f"schedule_batch: times[{i + 1}]={arr[i + 1]!r} decreases from "
-            f"times[{i}]={arr[i]!r} (batch of {arr.shape[0]})"
-        )
+            return f"schedule_batch: times[0]={arr[0]!r} < now={self._now!r} {size}"
+        i = int(np.argmax(np.diff(arr) < 0.0))
+        return (f"schedule_batch: times[{i + 1}]={arr[i + 1]!r} decreases from "
+                f"times[{i}]={arr[i]!r} {size}")
 
     def schedule_batch(self, times, events) -> None:
         """Schedule ``events[i]`` to fire at *absolute* time ``times[i]``
@@ -291,27 +222,29 @@ class ObjectEngine:
 
         ``times`` must be non-decreasing, finite, and ``>= now`` — the
         contract batch producers (the vectorized wire path) satisfy by
-        construction. Events receive consecutive ``seq`` numbers in array
-        order, so the batch occupies one contiguous block of the total
-        ``(time, priority, seq)`` order: the observable fire order is
-        *identical* to calling :meth:`schedule` once per (time, event)
-        pair in array order.
+        construction, checked here in two vectorized passes (a NaN anywhere
+        fails the first-element or diff comparison, an inf the isfinite
+        check on the largest element). Events receive consecutive ``seq``
+        numbers in array order, so the batch occupies one contiguous block
+        of the total ``(time, priority, seq)`` order: the observable fire
+        order is *identical* to calling :meth:`schedule` once per (time,
+        event) pair in array order.
         """
-        arr = self._check_batch(times, events)
-        if arr.shape[0] == 0:
-            # Empty batches are no-ops on both engines: bumping _qgen here
-            # (while BatchedEngine early-returns) would desynchronize the
-            # generation counters the differential oracle compares.
-            return
+        arr = np.asarray(times, dtype=np.float64)
+        if arr.ndim != 1 or arr.shape[0] != len(events):
+            raise SimulationError(
+                f"schedule_batch: {arr.shape} times for {len(events)} events")
+        n = arr.shape[0]
+        if n and not (arr[0] >= self._now and np.isfinite(arr[n - 1])
+                      and (n < 2 or bool(np.all(np.diff(arr) >= 0.0)))):
+            raise SimulationError(self._diagnose_batch(arr))
         # Ascending pushes keep each heappush O(1) amortized (the new
         # entry never sifts past an earlier batch entry).
-        self._qgen += 1
         seq = self._seq
         heap = self._heap
-        push = heappush
         for t, ev in zip(arr.tolist(), events):
             seq += 1
-            push(heap, (t, PRIORITY_NORMAL, seq, ev))
+            heappush(heap, (t, PRIORITY_NORMAL, seq, ev))
         self._seq = seq
 
     def schedule_at(self, event: "Event", t: float,
@@ -329,7 +262,6 @@ class ObjectEngine:
             raise SimulationError(
                 f"schedule_at: time {t!r} not in [now={self._now!r}, inf)")
         self._seq += 1
-        self._qgen += 1
         heappush(self._heap, (t, priority, self._seq, event))
 
     # ------------------------------------------------------------------
@@ -353,39 +285,35 @@ class ObjectEngine:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def _pop_next(self):
-        """Pop and return ``(time, event)`` for the next live event, or
-        ``None`` if both lanes are drained. Discards cancelled corpses."""
-        lane = self._lane
-        heap = self._heap
-        while True:
-            if lane:
-                if heap and not self._lane_first(self._now, lane[0]._lseq, heap[0]):
-                    entry = heappop(heap)
-                    time, event = entry[0], entry[3]
-                else:
-                    event = lane.popleft()
-                    time = self._now
-            elif heap:
-                entry = heappop(heap)
-                time, event = entry[0], entry[3]
-            else:
-                return None
-            if event._cancelled:
-                self._cancelled -= 1
-                continue
-            return time, event
-
     def step(self) -> None:
-        """Fire the single next live event (skipping cancelled entries)."""
-        nxt = self._pop_next()
-        if nxt is None:
+        """Fire the single next live event (skipping cancelled entries).
+
+        For manual drivers (tests, examples); :meth:`run` never calls it."""
+        from_lane = self._next_is_lane()
+        if from_lane is None:
             raise SimulationError("step() on an empty event queue")
-        time, event = nxt
-        if time < self._now:
-            raise SimulationError("event queue time went backwards")
-        self._now = time
+        if from_lane:
+            event = self._lane.popleft()
+        else:
+            self._now, _prio, _seq, event = heappop(self._heap)
         self._event_count += 1
+        if self._observing():
+            self._observe(self._now, event, self._event_count)
+        event._fire()
+
+    def _observing(self) -> bool:
+        """True if anything can emit a record per fired event: a ``trace``
+        callable, or an enabled tracer with ``engine_events`` or a
+        ``progress_every`` period. A tracer that only collects the other
+        layers' records (``Tracer(progress_every=None)``, what ``perf=True``
+        and ``check=`` jobs install) leaves the dispatch loop hook-free."""
+        tr = self.tracer
+        return self._trace is not None or (tr.enabled and (
+            tr.engine_events or tr.progress_every is not None))
+
+    def _observe(self, time: float, event: "Event", count: int) -> None:
+        """The per-event hook: ``event`` is the ``count``-th event fired,
+        popped and about to run its callbacks at ``time``."""
         if self._trace is not None:
             self._trace(time, event)
         tr = self.tracer
@@ -393,13 +321,12 @@ class ObjectEngine:
             if tr.engine_events:
                 tr.instant("sim", type(event).__name__, time)
             every = tr.progress_every
-            if every is not None and self._event_count % every == 0:
+            if every is not None and count % every == 0:
                 depth = self.queue_depth
                 tr.span("sim", "progress", self._progress_t0, time,
-                        events=self._event_count, queue_depth=depth)
+                        events=count, queue_depth=depth)
                 tr.counter("sim", "queue_depth", time, float(depth))
                 self._progress_t0 = time
-        event._fire()
 
     def budget_error(self, max_events: int) -> SimulationError:
         """The event-budget-exhausted error, including how many events are
@@ -409,8 +336,7 @@ class ObjectEngine:
         return self.diagnosed(
             f"event budget exhausted ({max_events} events fired) at "
             f"t={self._now:.6g}s with {self.queue_depth} queued-but-unfired "
-            f"events still pending"
-        )
+            f"events still pending")
 
     def diagnosed(self, msg: str) -> SimulationError:
         """``SimulationError(msg)``; with the analysis pipeline enabled the
@@ -424,7 +350,6 @@ class ObjectEngine:
         return SimulationError(msg)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None,
-            trace_every: Optional[int] = None,
             until_done: Optional[Iterable["Event"]] = None) -> float:
         """Run until the queue drains, ``until`` is reached, the event
         budget ``max_events`` is exhausted, or every event (process) in
@@ -436,38 +361,100 @@ class ObjectEngine:
         ``peek()``/``step()`` driver that re-tests the processes after
         every event would leave (tests/test_stop_contract.py).
 
-        ``trace_every`` emits a progress record to the engine's tracer every
-        N fired events (independent of the tracer's own ``progress_every``),
-        so long runs can be watched from the timeline.
-
         Returns the simulated time at which the run stopped.
+
+        Invariants the loop relies on (enforced elsewhere):
+
+        * :meth:`schedule`, :meth:`schedule_at` and :meth:`schedule_batch`
+          reject past and non-finite times, so popped times are monotone by
+          the lane invariants — no per-event time-went-backwards check;
+        * no :class:`Event` subclass overrides ``_fire`` — its body is
+          inlined here (see docs/performance.md).
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
-        if trace_every is not None and trace_every < 1:
-            raise SimulationError(f"trace_every must be >= 1, got {trace_every}")
         live = [0]
         if until_done is not None:
             def done(_event):
                 live[0] -= 1
                 if not live[0]:
-                    # the _qgen bump ends the lane/timeline run in flight;
-                    # the outer loops then see the flag
                     self._stop = True
-                    self._qgen += 1
 
             for ev in until_done:
                 if not ev._triggered:
                     live[0] += 1
                     ev.callbacks.append(done)
             self._stop = not live[0]
+        limit = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
+        hook = self._observe if self._observing() else None
+        heap = self._heap
+        lane = self._lane
+        pop = heappop
+        popleft = lane.popleft
+        fired = 0
         self._running = True
         try:
-            if (self._trace is None and trace_every is None
-                    and not self.tracer.enabled):
-                return self._run_fast(until, max_events)
-            return self._run_traced(until, max_events, trace_every)
+            while not self._stop:
+                # Next entry in (time, priority, seq) order: the lane head
+                # fires at `now` with priority 0 and seq `_lseq`; `entry`
+                # stays None when it wins (same rule as _next_is_lane).
+                entry = None
+                if lane:
+                    if heap:
+                        he = heap[0]
+                        t = self._now
+                        ht = he[0]
+                        if not (t < ht or (t == ht and (
+                                he[1] > 0 or (he[1] == 0
+                                              and lane[0]._lseq < he[2])))):
+                            entry = pop(heap)
+                elif heap:
+                    entry = pop(heap)
+                else:
+                    if until is not None and until > self._now:
+                        self._now = until
+                    break
+                if entry is None:
+                    event = popleft()
+                    t = self._now
+                else:
+                    t = entry[0]
+                    event = entry[3]
+                if event._cancelled:
+                    self._cancelled -= 1
+                    continue
+                if t > limit or fired >= budget:
+                    # not consumed: fires on a later run()
+                    if entry is None:
+                        lane.appendleft(event)
+                    else:
+                        heappush(heap, entry)
+                    if t > limit:
+                        self._now = limit
+                        break
+                    raise self.budget_error(max_events)
+                self._now = t
+                fired += 1
+                if hook is not None:
+                    hook(t, event, self._event_count + fired)
+                # --- inlined Event._fire() ---
+                event._triggered = True
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = ()
+                    try:
+                        (cb,) = callbacks
+                    except ValueError:
+                        for cb in callbacks:
+                            cb(event)
+                    else:
+                        cb(event)
+                if event._ok is False and not event._defused:
+                    raise event._value
+            return self._now
         finally:
+            self._event_count += fired
             self._running = self._stop = False
             live[0] = 0  # watchers an aborted run leaves behind are inert
 
@@ -490,161 +477,8 @@ class ObjectEngine:
         """
         if not until > self._now:
             return self._now
-        limit = math.nextafter(until, -_INF)
-        if limit < self._now:
-            return self._now
-        return self.run(until=limit, max_events=max_events)
-
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """The hot loop: inlined dispatch, zero tracer attribute reads.
-
-        Only entered when ``self._trace`` is None, the NULL_TRACER (or any
-        disabled tracer) is installed, and no ``trace_every`` was requested
-        — i.e. when per-event observation hooks cannot fire anyway. Event
-        ordering, cancellation, ``until``, and budget semantics are
-        identical to the traced loop (property-tested in
-        tests/test_sim_engine.py).
-
-        Invariants this loop relies on (enforced elsewhere):
-
-        * :meth:`schedule` rejects negative/non-finite delays, so popped
-          times are monotone by the lane invariants — no per-event
-          time-went-backwards check is needed;
-        * no :class:`Event` subclass overrides ``_fire`` — its body is
-          inlined here (see docs/performance.md).
-        """
-        heap = self._heap
-        lane = self._lane
-        pop = heappop
-        popleft = lane.popleft
-        fired = 0
-        try:
-            if until is None and max_events is None:
-                # Unbounded: the tightest loop. Lane-vs-heap selection is
-                # inlined (same (time, priority, seq) order as _lane_first).
-                while not self._stop:
-                    if lane:
-                        if heap:
-                            he = heap[0]
-                            lt = self._now
-                            ht = he[0]
-                            if lt < ht or (lt == ht and (
-                                    he[1] > 0 or (he[1] == 0
-                                                  and lane[0]._lseq < he[2]))):
-                                event = popleft()
-                                t = lt
-                            else:
-                                t, _prio, _seq, event = pop(heap)
-                        else:
-                            event = popleft()
-                            t = self._now
-                    elif heap:
-                        t, _prio, _seq, event = pop(heap)
-                    else:
-                        break
-                    if event._cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self._now = t
-                    fired += 1
-                    # --- inlined Event._fire() ---
-                    event._triggered = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = ()
-                        try:
-                            (cb,) = callbacks
-                        except ValueError:
-                            for cb in callbacks:
-                                cb(event)
-                        else:
-                            cb(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                return self._now
-            # Bounded: same dispatch plus until/budget guards.
-            lane_first = self._lane_first
-            limit = _INF if until is None else until
-            budget = _INF if max_events is None else max_events
-            while True:
-                if self._stop:
-                    return self._now
-                if lane:
-                    if heap and not lane_first(self._now, lane[0]._lseq,
-                                               heap[0]):
-                        t, _prio, _seq, event = pop(heap)
-                        from_lane = False
-                    else:
-                        event = popleft()
-                        t = self._now
-                        from_lane = True
-                elif heap:
-                    t, _prio, _seq, event = pop(heap)
-                    from_lane = False
-                else:
-                    break
-                if event._cancelled:
-                    self._cancelled -= 1
-                    continue
-                if t > limit:
-                    # not consumed: fires on a later run()
-                    if from_lane:
-                        lane.appendleft(event)
-                    else:
-                        heappush(heap, (t, _prio, _seq, event))
-                    self._now = limit
-                    return limit
-                if fired >= budget:
-                    if from_lane:
-                        lane.appendleft(event)
-                    else:
-                        heappush(heap, (t, _prio, _seq, event))
-                    raise self.budget_error(max_events)
-                self._now = t
-                fired += 1
-                # --- inlined Event._fire() ---
-                event._triggered = True
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = ()
-                    try:
-                        (cb,) = callbacks
-                    except ValueError:
-                        for cb in callbacks:
-                            cb(event)
-                    else:
-                        cb(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._event_count += fired
-
-    def _run_traced(self, until: Optional[float], max_events: Optional[int],
-                    trace_every: Optional[int]) -> float:
-        """Observable loop: one :meth:`step` per event, all hooks live."""
-        fired = 0
-        while not self._stop:
-            next_time = self.peek()
-            if next_time == _INF:
-                if until is not None and until > self._now:
-                    self._now = until
-                break
-            if until is not None and next_time > until:
-                self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                raise self.budget_error(max_events)
-            self.step()
-            fired += 1
-            if trace_every is not None and fired % trace_every == 0:
-                tr = self.tracer
-                if tr.enabled:
-                    tr.instant("sim", "run_progress", self._now,
-                               fired=fired, queue_depth=self.queue_depth)
-        return self._now
+        return self.run(until=math.nextafter(until, -_INF),
+                        max_events=max_events)
 
     def run_until_complete(self, process: "Process", max_events: Optional[int] = None) -> object:
         """Run until ``process`` terminates; return its value or re-raise its
@@ -659,634 +493,6 @@ class ObjectEngine:
             raise process.value  # type: ignore[misc]
         return process.value
 
-
-class BatchedEngine(ObjectEngine):
-    """Array-native engine: adds a sorted *timeline lane* and batch-pop
-    dispatch on top of :class:`ObjectEngine`.
-
-    The timeline lane is a ring of three parallel arrays (times, seqs,
-    events) plus a head cursor. :meth:`schedule_batch` appends whole
-    sorted batches in O(n) with no heap sifting; the run loop pops from
-    the head in O(1). Consumed slots are reclaimed either wholesale when
-    the lane drains or by compacting when the dead prefix dominates —
-    never by per-pop shifting. :attr:`queue_depth`/:meth:`peek` stay
-    O(1)/O(corpses-at-head): live counts come from ``len - head`` and the
-    shared lazy-cancellation counter, not from scanning the ring.
-
-    Dispatch fires *runs* of events from one lane through a tight inlined
-    loop, bounded by a cached cross-lane barrier key (the head of the
-    closest other lane). The barrier is recomputed only when a fired
-    callback mutates another lane (detected by length change), so a
-    delay-0 storm or a wire batch pays the three-way comparison once per
-    run, not once per event. Fire order is bit-identical to
-    :class:`ObjectEngine` (property-tested in tests/test_properties.py).
-    """
-
-    __slots__ = ("_tl_times", "_tl_seqs", "_tl_events", "_tl_head")
-
-    def __init__(self, trace: Optional[Callable[[float, "Event"], None]] = None,
-                 tracer: Optional[Tracer] = None):
-        super().__init__(trace, tracer)
-        #: timeline lane: parallel arrays sorted by (time, seq), live
-        #: entries are indices [_tl_head, len)
-        self._tl_times: list = []
-        self._tl_seqs: list = []
-        self._tl_events: list = []
-        self._tl_head: int = 0
-
-    # ------------------------------------------------------------------
-    # introspection (O(live), never scans the ring)
-    # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        """Number of *live* (non-cancelled) events still queued."""
-        return (len(self._heap) + len(self._lane)
-                + len(self._tl_times) - self._tl_head - self._cancelled)
-
-    def _clean_heads(self) -> None:
-        super()._clean_heads()
-        head = self._tl_head
-        evs = self._tl_events
-        n = len(evs)
-        while head < n and evs[head]._cancelled:
-            head += 1
-            self._cancelled -= 1
-        self._tl_head = head
-
-    def peek(self) -> float:
-        """Time of the next live scheduled event, or ``inf`` if none.
-
-        ``time`` is the primary sort key, so the minimum over the three
-        lane-head times *is* the next event's time — no full-key compare
-        needed here."""
-        self._clean_heads()
-        best = _INF
-        heap = self._heap
-        if heap:
-            best = heap[0][0]
-        if self._lane and self._now < best:
-            # a live lane head's fire time is always exactly `now`
-            best = self._now
-        head = self._tl_head
-        if head < len(self._tl_times) and self._tl_times[head] < best:
-            best = self._tl_times[head]
-        return best
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def _compact_tl(self) -> None:
-        """Reclaim the consumed prefix when it dominates the ring, so the
-        ring holds O(live) slots even when the lane never drains.
-
-        Called on append, also under a running dispatch loop (jobs run
-        inside :meth:`run`): every append bumps ``_qgen``, which sends the
-        loop back to its outer boundary — where it re-reads the head cursor
-        and length — before it touches the ring again."""
-        head = self._tl_head
-        if head and head * 2 >= len(self._tl_times):
-            del self._tl_times[:head]
-            del self._tl_seqs[:head]
-            del self._tl_events[:head]
-            self._tl_head = 0
-
-    def schedule_batch(self, times, events) -> None:
-        arr = self._check_batch(times, events)
-        n = arr.shape[0]
-        if n == 0:
-            return
-        tlt = self._tl_times
-        if len(tlt) > self._tl_head and arr[0] < tlt[-1]:
-            # Out of order vs. the queued timeline tail: preserve the
-            # total order by routing through the heap instead (rare —
-            # only overlapping wire batches from unrelated clusters).
-            super().schedule_batch(arr, events)
-            return
-        self._compact_tl()
-        self._qgen += 1
-        seq0 = self._seq
-        self._seq = seq0 + n
-        tlt.extend(arr.tolist())
-        self._tl_seqs.extend(range(seq0 + 1, seq0 + n + 1))
-        self._tl_events.extend(events)
-
-    schedule_batch.__doc__ = ObjectEngine.schedule_batch.__doc__
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def _pop_next(self):
-        """Pop ``(time, event)`` for the next live event across all three
-        lanes, or ``None`` when drained. Used by :meth:`step` (the
-        observable path); the fast loops below inline the same order."""
-        lane = self._lane
-        heap = self._heap
-        tlt = self._tl_times
-        tls = self._tl_seqs
-        tle = self._tl_events
-        while True:
-            head = self._tl_head
-            src = 0
-            key = None
-            if head < len(tlt):
-                key = (tlt[head], 0, tls[head])
-                src = 2
-            if lane:
-                lk = (self._now, 0, lane[0]._lseq)
-                if src == 0 or lk < key:
-                    key = lk
-                    src = 1
-            if heap:
-                he = heap[0]
-                hk = (he[0], he[1], he[2])
-                if src == 0 or hk < key:
-                    src = 3
-            if src == 0:
-                return None
-            if src == 1:
-                event = lane.popleft()
-                time = self._now
-            elif src == 2:
-                time, event = tlt[head], tle[head]
-                self._tl_head = head + 1
-                if self._tl_head == len(tlt):
-                    tlt.clear()
-                    tls.clear()
-                    tle.clear()
-                    self._tl_head = 0
-            else:
-                entry = heappop(heap)
-                time, event = entry[0], entry[3]
-            if event._cancelled:
-                self._cancelled -= 1
-                continue
-            return time, event
-
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
-        if until is None and max_events is None:
-            return self._run_fast_unbounded()
-        return self._run_fast_bounded(until, max_events)
-
-    def _run_fast_unbounded(self) -> float:
-        """Batch-pop hot loop (see class docstring for the barrier scheme)."""
-        heap = self._heap
-        lane = self._lane
-        tlt = self._tl_times
-        tls = self._tl_seqs
-        tle = self._tl_events
-        pop = heappop
-        popleft = lane.popleft
-        appendleft = lane.appendleft
-        fired = 0
-        try:
-            while True:
-                if self._stop:
-                    return self._now
-                th = self._tl_head
-                ntl = len(tlt)
-                if th >= ntl:
-                    if ntl:
-                        # drained: drop fired-event references wholesale
-                        tlt.clear()
-                        tls.clear()
-                        tle.clear()
-                        self._tl_head = th = ntl = 0
-                    if lane:
-                        src = 1
-                    elif heap:
-                        src = 3
-                    else:
-                        break
-                elif lane:
-                    src = 2 if ((tlt[th], tls[th])
-                                < (self._now, lane[0]._lseq)) else 1
-                else:
-                    src = 2
-                if src != 3 and heap:
-                    he = heap[0]
-                    if src == 1:
-                        ct, cs = self._now, lane[0]._lseq
-                    else:
-                        ct, cs = tlt[th], tls[th]
-                    ht = he[0]
-                    hp = he[1]
-                    if not (ct < ht or (ct == ht and (
-                            hp > 0 or (hp == 0 and cs < he[2])))):
-                        src = 3
-                if src == 3:
-                    # single heap pop: heap entries (timers, urgent
-                    # bookkeeping) rarely arrive in runs
-                    t, _prio, _seq, event = pop(heap)
-                    if event._cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self._now = t
-                    fired += 1
-                    # --- inlined Event._fire() ---
-                    event._triggered = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = ()
-                        try:
-                            (cb,) = callbacks
-                        except ValueError:
-                            for cb in callbacks:
-                                cb(event)
-                        else:
-                            cb(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                    continue
-                # Barrier: full (time, priority, seq) key of the closest
-                # head NOT in the chosen lane, cached in locals.
-                bt = _INF
-                bp = 0
-                bseq = 0
-                if heap:
-                    he = heap[0]
-                    bt, bp, bseq = he[0], he[1], he[2]
-                if src == 1:
-                    if th < ntl:
-                        tt = tlt[th]
-                        if tt < bt or (tt == bt and (
-                                bp > 0 or (bp == 0 and tls[th] < bseq))):
-                            bt, bp, bseq = tt, 0, tls[th]
-                    # Mutation sentinels: the barrier only moves if the
-                    # heap head is *replaced* (a push of an earlier entry;
-                    # callbacks cannot pop the heap) or the empty timeline
-                    # gains entries. A non-empty timeline needs no check —
-                    # schedule_batch appends strictly after its own head,
-                    # which the barrier already bounds.
-                    g0 = self._qgen
-                    # ---- immediate-lane run ----
-                    # Every live lane entry shares time == now: an entry's
-                    # time is the `now` it was appended at, time is
-                    # monotone, and nothing later may overtake — so `now`
-                    # already equals each entry's time here (no `self._now`
-                    # store needed; property-tested).
-                    if self._now < bt and not self._cancelled:
-                        # Strict barrier, corpse-free: with the closest
-                        # rival strictly later than now, no entry in this
-                        # run — including ones appended by callbacks
-                        # mid-run — can be blocked, so skip the per-event
-                        # key compare; with zero live corpses anywhere,
-                        # skip the per-event cancel flag read too.
-                        # Everything that could invalidate either fact —
-                        # an urgent delay-0 push, a timeline batch landing
-                        # at now, Event.cancel(), or Event.fail() — bumps
-                        # _qgen.
-                        if self._failed:
-                            while lane:
-                                event = popleft()
-                                fired += 1
-                                # --- inlined Event._fire() ---
-                                event._triggered = True
-                                callbacks = event.callbacks
-                                if callbacks:
-                                    event.callbacks = ()
-                                    try:
-                                        (cb,) = callbacks
-                                    except ValueError:
-                                        for cb in callbacks:
-                                            cb(event)
-                                    else:
-                                        cb(event)
-                                if event._ok is False and not event._defused:
-                                    raise event._value
-                                if self._qgen != g0:
-                                    break
-                        else:
-                            # No event has ever fail()ed on this engine,
-                            # so the lane provably holds successes only —
-                            # drop the per-event lost-error check as well.
-                            while lane:
-                                event = popleft()
-                                fired += 1
-                                # --- inlined Event._fire() ---
-                                event._triggered = True
-                                callbacks = event.callbacks
-                                if callbacks:
-                                    event.callbacks = ()
-                                    try:
-                                        (cb,) = callbacks
-                                    except ValueError:
-                                        for cb in callbacks:
-                                            cb(event)
-                                    else:
-                                        cb(event)
-                                if self._qgen != g0:
-                                    break
-                    else:
-                        # Per-event compare (barrier tie at now, or
-                        # corpses present). Lane entries all fire at now
-                        # with priority 0, so the full-key compare
-                        # reduces to a loop-invariant strictness bit
-                        # plus per-entry seq order.
-                        strict = self._now < bt or bp > 0
-                        while lane:
-                            event = popleft()
-                            if not (strict or event._lseq < bseq):
-                                appendleft(event)
-                                break
-                            if event._cancelled:
-                                self._cancelled -= 1
-                                continue
-                            fired += 1
-                            # --- inlined Event._fire() ---
-                            event._triggered = True
-                            callbacks = event.callbacks
-                            if callbacks:
-                                event.callbacks = ()
-                                try:
-                                    (cb,) = callbacks
-                                except ValueError:
-                                    for cb in callbacks:
-                                        cb(event)
-                                else:
-                                    cb(event)
-                            if event._ok is False and not event._defused:
-                                raise event._value
-                            if self._qgen != g0:
-                                break
-                else:
-                    if lane:
-                        lt = self._now
-                        lseq = lane[0]._lseq
-                        if lt < bt or (lt == bt and (
-                                bp > 0 or (bp == 0 and lseq < bseq))):
-                            bt, bp, bseq = lt, 0, lseq
-                    # Same sentinel scheme as the lane run: new lane
-                    # appends land behind the lane head the barrier
-                    # already covers, so only empty-to-non-empty matters.
-                    g0 = self._qgen
-                    # truthy only if the empty-at-entry immediate lane
-                    # gained entries — a non-empty lane's head is already
-                    # covered by the barrier
-                    watch = () if lane else lane
-                    # ---- timeline run ----
-                    # The head cursor is persisted *before* each fire, not
-                    # held in a local: callbacks may read queue_depth or
-                    # call peek(), whose _clean_heads itself advances the
-                    # head past corpses — a local cursor would go stale
-                    # and double-count those corpses on resume.
-                    while True:
-                        th = self._tl_head
-                        if th >= ntl:
-                            break
-                        t = tlt[th]
-                        if not (t < bt or (t == bt and (
-                                bp > 0 or (bp == 0 and tls[th] < bseq)))):
-                            break
-                        event = tle[th]
-                        self._tl_head = th + 1
-                        if event._cancelled:
-                            self._cancelled -= 1
-                            continue
-                        self._now = t
-                        fired += 1
-                        # --- inlined Event._fire() ---
-                        event._triggered = True
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = ()
-                            try:
-                                (cb,) = callbacks
-                            except ValueError:
-                                for cb in callbacks:
-                                    cb(event)
-                            else:
-                                cb(event)
-                        if event._ok is False and not event._defused:
-                            raise event._value
-                        if self._qgen != g0 or watch:
-                            break
-            return self._now
-        finally:
-            self._event_count += fired
-
-    def _run_fast_bounded(self, until: Optional[float],
-                          max_events: Optional[int]) -> float:
-        """Batch-pop loop with ``until``/budget guards. Unconsumed events
-        are pushed back so a later ``run()`` resumes exactly where this
-        one stopped."""
-        heap = self._heap
-        lane = self._lane
-        tlt = self._tl_times
-        tls = self._tl_seqs
-        tle = self._tl_events
-        pop = heappop
-        popleft = lane.popleft
-        appendleft = lane.appendleft
-        limit = _INF if until is None else until
-        budget = _INF if max_events is None else max_events
-        fired = 0
-        try:
-            while True:
-                if self._stop:
-                    return self._now
-                th = self._tl_head
-                ntl = len(tlt)
-                if th >= ntl:
-                    if ntl:
-                        tlt.clear()
-                        tls.clear()
-                        tle.clear()
-                        self._tl_head = th = ntl = 0
-                    if lane:
-                        src = 1
-                    elif heap:
-                        src = 3
-                    else:
-                        break
-                elif lane:
-                    src = 2 if ((tlt[th], tls[th])
-                                < (self._now, lane[0]._lseq)) else 1
-                else:
-                    src = 2
-                if src != 3 and heap:
-                    he = heap[0]
-                    if src == 1:
-                        ct, cs = self._now, lane[0]._lseq
-                    else:
-                        ct, cs = tlt[th], tls[th]
-                    ht = he[0]
-                    hp = he[1]
-                    if not (ct < ht or (ct == ht and (
-                            hp > 0 or (hp == 0 and cs < he[2])))):
-                        src = 3
-                if src == 3:
-                    t, _prio, _seq, event = pop(heap)
-                    if event._cancelled:
-                        self._cancelled -= 1
-                        continue
-                    if t > limit:
-                        heappush(heap, (t, _prio, _seq, event))
-                        self._now = limit
-                        return limit
-                    if fired >= budget:
-                        heappush(heap, (t, _prio, _seq, event))
-                        raise self.budget_error(max_events)
-                    self._now = t
-                    fired += 1
-                    event._triggered = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = ()
-                        try:
-                            (cb,) = callbacks
-                        except ValueError:
-                            for cb in callbacks:
-                                cb(event)
-                        else:
-                            cb(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                    continue
-                bt = _INF
-                bp = 0
-                bseq = 0
-                if heap:
-                    he = heap[0]
-                    bt, bp, bseq = he[0], he[1], he[2]
-                if src == 1:
-                    if th < ntl:
-                        tt = tlt[th]
-                        if tt < bt or (tt == bt and (
-                                bp > 0 or (bp == 0 and tls[th] < bseq))):
-                            bt, bp, bseq = tt, 0, tls[th]
-                    g0 = self._qgen
-                    # all lane entries fire at now with priority 0 (see
-                    # the unbounded loop): hoist the invariant parts of
-                    # the barrier compare and the `until` guard
-                    lt = self._now
-                    strict = lt < bt or bp > 0
-                    while lane:
-                        event = popleft()
-                        if not (strict or event._lseq < bseq):
-                            appendleft(event)
-                            break
-                        if event._cancelled:
-                            self._cancelled -= 1
-                            continue
-                        if lt > limit:
-                            appendleft(event)
-                            self._now = limit
-                            return limit
-                        if fired >= budget:
-                            appendleft(event)
-                            raise self.budget_error(max_events)
-                        # `now` already equals lt (see unbounded loop)
-                        fired += 1
-                        event._triggered = True
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = ()
-                            try:
-                                (cb,) = callbacks
-                            except ValueError:
-                                for cb in callbacks:
-                                    cb(event)
-                            else:
-                                cb(event)
-                        if event._ok is False and not event._defused:
-                            raise event._value
-                        if self._qgen != g0:
-                            break
-                else:
-                    if lane:
-                        lt = self._now
-                        lseq = lane[0]._lseq
-                        if lt < bt or (lt == bt and (
-                                bp > 0 or (bp == 0 and lseq < bseq))):
-                            bt, bp, bseq = lt, 0, lseq
-                    g0 = self._qgen
-                    # truthy only if the empty-at-entry immediate lane
-                    # gained entries — a non-empty lane's head is already
-                    # covered by the barrier
-                    watch = () if lane else lane
-                    # head persisted per event — see the unbounded loop
-                    while True:
-                        th = self._tl_head
-                        if th >= ntl:
-                            break
-                        t = tlt[th]
-                        if not (t < bt or (t == bt and (
-                                bp > 0 or (bp == 0 and tls[th] < bseq)))):
-                            break
-                        event = tle[th]
-                        self._tl_head = th + 1
-                        if event._cancelled:
-                            self._cancelled -= 1
-                            continue
-                        if t > limit:
-                            self._tl_head = th
-                            self._now = limit
-                            return limit
-                        if fired >= budget:
-                            self._tl_head = th
-                            raise self.budget_error(max_events)
-                        self._now = t
-                        fired += 1
-                        event._triggered = True
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = ()
-                            try:
-                                (cb,) = callbacks
-                            except ValueError:
-                                for cb in callbacks:
-                                    cb(event)
-                            else:
-                                cb(event)
-                        if event._ok is False and not event._defused:
-                            raise event._value
-                        if self._qgen != g0 or watch:
-                            break
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._event_count += fired
-
-
-#: True when ``REPRO_ENGINE=sharded`` — the harness then defaults eligible
-#: jobs to the sharded coordinator (``JobSpec.shards`` still wins when set).
-#: Shard *workers* run plain :class:`BatchedEngine` instances, so the alias
-#: below resolves to :class:`BatchedEngine` under this setting.
-SHARDED_DEFAULT = False
-
-#: Shard count used when ``REPRO_ENGINE=sharded`` selects sharding without
-#: an explicit ``JobSpec(shards=N)``; override with ``REPRO_SHARDS``.
-DEFAULT_SHARDS = max(1, int(os.environ.get("REPRO_SHARDS", "2")))
-
-
-def _default_engine_class():
-    """Resolve the :data:`Engine` alias from ``REPRO_ENGINE``.
-
-    ``batched`` (the default) selects :class:`BatchedEngine`; ``object``
-    selects the per-event oracle; ``sharded`` selects
-    :class:`BatchedEngine` per shard and flips :data:`SHARDED_DEFAULT` so
-    the harness routes eligible jobs through ``repro.sim.shard``. Read
-    once at import — tests that need both instantiate the classes
-    directly."""
-    global SHARDED_DEFAULT
-    name = os.environ.get("REPRO_ENGINE", "batched").strip().lower()
-    if name in ("", "batched"):
-        return BatchedEngine
-    if name == "sharded":
-        SHARDED_DEFAULT = True
-        return BatchedEngine
-    if name == "object":
-        return ObjectEngine
-    raise SimulationError(
-        f"REPRO_ENGINE={name!r} not recognized "
-        "(expected 'object', 'batched', or 'sharded')"
-    )
-
-
-#: The engine class the rest of the code base instantiates; resolved from
-#: the ``REPRO_ENGINE`` environment variable at import time.
-Engine = _default_engine_class()
 
 # The event classes need ``Engine`` (above) to exist before they can be
 # defined; the factories bind them here, once, instead of per call.

@@ -11,10 +11,9 @@ events but only in the small form the reproduction needs.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Callable, List, Optional
 
-from repro.sim.engine import Engine, SimulationError, PRIORITY_NORMAL, _INF
+from repro.sim.engine import Engine, SimulationError, PRIORITY_NORMAL
 
 
 class Event:
@@ -27,7 +26,6 @@ class Event:
                  "_scheduled", "_defused", "_cancelled", "_lseq")
 
     def __init__(self, engine: Engine):
-        # NOTE: Timeout.__init__ inlines this body — keep the two in sync.
         self.engine = engine
         self.callbacks: List[Callable[["Event"], None]] = []
         self._triggered = False
@@ -69,17 +67,7 @@ class Event:
         if value is not None:
             self._value = value
         self._scheduled = True
-        if not delay and not priority:
-            # Inlined Engine.schedule() immediate-lane fast path: delay-0
-            # completions are the hot class (docs/performance.md) and 0.0
-            # trivially passes schedule()'s delay validation.  Truthiness
-            # stands in for ``== 0`` (NaN is truthy, so it still routes to
-            # schedule() for validation).
-            eng = self.engine
-            eng._seq = self._lseq = eng._seq + 1
-            eng._lane.append(self)
-        else:
-            self.engine.schedule(self, delay, priority)
+        self.engine.schedule(self, delay, priority)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -91,14 +79,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._scheduled = True
-        eng = self.engine
-        # Sticky failure marker plus a generation bump: the batched
-        # engine's failure-free drain skips the per-event lost-error
-        # check, so a failure appended mid-run must force the in-flight
-        # drain to re-derive its state (see engine.py).
-        eng._failed = True
-        eng._qgen += 1
-        eng.schedule(self, delay)
+        self.engine.schedule(self, delay)
         return self
 
     def cancel(self) -> bool:
@@ -119,16 +100,12 @@ class Event:
         if not self._scheduled:
             raise SimulationError(f"cannot cancel unscheduled {self!r}")
         self._cancelled = True
-        eng = self.engine
-        eng._cancelled += 1
-        # A corpse invalidates the batched engine's corpse-free drain;
-        # the generation bump makes an in-flight run re-derive its state.
-        eng._qgen += 1
+        self.engine._cancelled += 1
         return True
 
     def _fire(self) -> None:
-        # NOTE: Engine._run_fast inlines this body — keep the two in sync,
-        # and do not override _fire in subclasses (docs/performance.md).
+        # NOTE: Engine.run inlines this body — keep the two in sync, and
+        # do not override _fire in subclasses (docs/performance.md).
         self._triggered = True
         # The shared empty *tuple* costs no allocation per fire; nothing
         # appends to a fired event's callbacks (add_callback calls through).
@@ -162,23 +139,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: Engine, delay: float, value: object = None):
-        # One frame for the most-constructed event: Event.__init__,
-        # succeed() and Engine.schedule() inlined (docs/performance.md).
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(f"non-finite or negative delay {delay!r}")
-        self.engine = engine
-        self.callbacks = []
-        self._triggered = self._defused = self._cancelled = False
-        self._ok = self._scheduled = True
-        self._value = value
+        super().__init__(engine)
         self.delay = delay
-        engine._seq = seq = engine._seq + 1
-        if delay:
-            engine._qgen += 1
-            heappush(engine._heap, (engine._now + delay, 0, seq, self))
-        else:
-            self._lseq = seq
-            engine._lane.append(self)
+        self.succeed(value, delay)
 
 
 class _Condition(Event):

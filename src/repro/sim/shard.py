@@ -52,7 +52,6 @@ import os
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim import engine as _engine_mod
 from repro.sim.engine import SimulationError
 
 _INF = float("inf")
@@ -94,16 +93,17 @@ def shard_eligible(spec, tracer=None, collect_grid: bool = False) -> bool:
 def resolve_shards(spec, tracer=None, collect_grid: bool = False) -> int:
     """Shard count a runner should use for ``spec`` (0 = run serial).
 
-    ``JobSpec(shards=N)`` wins; otherwise ``REPRO_ENGINE=sharded`` selects
-    ``REPRO_SHARDS`` (default 2). The count is capped at ``n_nodes``
-    (nodes are the partition unit).
+    ``JobSpec(shards=N)`` wins; otherwise the ``REPRO_SHARDS`` environment
+    variable decides (unset or ``<= 1``: serial; ``N > 1``: eligible jobs
+    run on N shards). The count is capped at ``n_nodes`` (nodes are the
+    partition unit).
     """
     n = getattr(spec, "shards", None)
-    if n is None and _engine_mod.SHARDED_DEFAULT:
-        n = _engine_mod.DEFAULT_SHARDS
-    if n is None or n < 1:
-        return 0
-    if not shard_eligible(spec, tracer=tracer, collect_grid=collect_grid):
+    if n is None:
+        env = int(os.environ.get("REPRO_SHARDS", "0"))
+        n = env if env > 1 else 0
+    if n < 1 or not shard_eligible(spec, tracer=tracer,
+                                   collect_grid=collect_grid):
         return 0
     return min(n, spec.n_nodes)
 

@@ -16,7 +16,7 @@ pytestmark = pytest.mark.bench
 
 def test_quick_suite_emits_all_artifacts(tmp_path):
     assert main(["--quick", "--outdir", str(tmp_path)]) == 0
-    for name in ("engine", "matching", "nic", "gs", "analysis", "verify"):
+    for name in ("matching", "nic", "gs", "analysis", "verify"):
         path = tmp_path / f"BENCH_{name}.json"
         assert path.exists(), f"missing {path}"
         payload = json.loads(path.read_text())
@@ -28,7 +28,7 @@ def test_quick_suite_emits_all_artifacts(tmp_path):
 
 
 def test_bench_names_cover_required_artifacts():
-    assert {"engine", "matching", "nic", "gs", "analysis",
+    assert {"matching", "nic", "gs", "analysis",
             "verify"} <= set(bench_names())
 
 
@@ -47,7 +47,7 @@ def test_only_filter_runs_single_bench(tmp_path):
     assert main(["--quick", "--only", "matching",
                  "--outdir", str(tmp_path)]) == 0
     assert (tmp_path / "BENCH_matching.json").exists()
-    assert not (tmp_path / "BENCH_engine.json").exists()
+    assert not (tmp_path / "BENCH_nic.json").exists()
 
 
 def test_matching_speedup_is_structural(tmp_path):

@@ -278,72 +278,3 @@ class TestCollectiveBackendDeterminism:
         assert a.sim_time == b.sim_time
         assert a.extra["residual"] == b.extra["residual"]
         assert a.extra["ec_missing"] == b.extra["ec_missing"]
-
-
-class TestEngineSwitchDeterminism:
-    """The ``REPRO_ENGINE`` switch must be invisible: the batched engine's
-    fast lanes and the object engine's single heap produce byte-identical
-    runs — results, chrome traces, fault injections, and strict-mode
-    analysis alike. This is the end-to-end leg of the batched-vs-object
-    oracle (unit legs live in test_properties.py)."""
-
-    @staticmethod
-    def _run_gs_with(engine_cls, *, faults=None, check=None, seed=7):
-        import repro.harness.runner as runner_mod
-        from repro.apps.gauss_seidel import GSParams, run_gauss_seidel
-
-        orig = runner_mod.Engine
-        runner_mod.Engine = engine_cls
-        try:
-            params = GSParams(rows=64, cols=64, timesteps=2, block_size=32)
-            tracer = Tracer(progress_every=None)
-            spec = JobSpec(machine=MACH4, n_nodes=2, variant="tagaspi",
-                           seed=seed, faults=faults, check=check)
-            res = run_gauss_seidel(spec, params, tracer=tracer)
-        finally:
-            runner_mod.Engine = orig
-        return (res.sim_time, res.extra,
-                json.dumps(chrome_trace(tracer), sort_keys=True))
-
-    @staticmethod
-    def _run_streaming_with(engine_cls):
-        import repro.harness.runner as runner_mod
-
-        orig = runner_mod.Engine
-        runner_mod.Engine = engine_cls
-        try:
-            spec = JobSpec(machine=MACH4, n_nodes=3, variant="tagaspi",
-                           seed=11)
-            res = run_streaming(spec, StreamingParams(
-                chunks=4, elements_per_chunk=1024, block_size=128,
-                compute_data=False))
-        finally:
-            runner_mod.Engine = orig
-        return res.sim_time, res.extra
-
-    def _pair(self, **kw):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        return (self._run_gs_with(ObjectEngine, **kw),
-                self._run_gs_with(BatchedEngine, **kw))
-
-    def test_traced_run_byte_identical(self):
-        a, b = self._pair()
-        assert a == b
-
-    def test_faulted_run_byte_identical(self):
-        plan = FaultPlan.severe(drop_prob=0.2, dup_prob=0.1, reorder_prob=0.1,
-                                recovery=RecoveryPolicy(op_timeout=5e-3))
-        a, b = self._pair(faults=plan)
-        assert a == b
-        assert a[1]["fault_injected"] > 0
-
-    def test_strict_check_run_byte_identical(self):
-        a, b = self._pair(check="strict")
-        assert a == b
-
-    def test_streaming_byte_identical(self):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_streaming_with(ObjectEngine)
-                == self._run_streaming_with(BatchedEngine))

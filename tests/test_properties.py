@@ -15,6 +15,7 @@ from repro.sim import Engine
 from repro.sim.serial import SerialDevice
 from repro.tasking import Runtime, RuntimeConfig, In, Out, InOut
 from tests.conftest import run_all
+from tests.reference.heap_engine import HeapEngine
 
 
 class TestSerialDeviceProperties:
@@ -268,13 +269,13 @@ class TestEngineOrderingProperties:
     ), min_size=1, max_size=25))
     @settings(max_examples=100, deadline=None)
     def test_fast_run_equals_step_loop(self, specs):
-        """run()'s inlined fast path fires the exact same sequence as the
-        fully-observable peek()/step() loop, including cascades scheduled
-        mid-run and lazily-cancelled events."""
+        """run()'s inlined loop fires the exact same sequence as the
+        peek()/step() loop and as the one-heap reference, including
+        cascades scheduled mid-run and lazily-cancelled events."""
         from repro.sim.events import Event
 
-        def execute(drive):
-            eng = Engine()
+        def execute(drive, engine_cls=Engine):
+            eng = engine_cls()
             order = []
 
             def spawn(label, delay, prio, children, child_delay):
@@ -301,20 +302,18 @@ class TestEngineOrderingProperties:
                 eng.step()
 
         fast = execute(lambda eng: eng.run())
-        stepped = execute(step_loop)
-        assert fast == stepped
+        assert fast == execute(step_loop)
+        assert fast == execute(lambda eng: eng.run(), HeapEngine)
 
 
 class TestEngineDifferentialOracle:
-    """BatchedEngine vs ObjectEngine: the batched lanes must be *observably
-    bit-identical* to the heap-only engine — same fire order, same clock at
-    every fire, same queue_depth/peek seen from inside callbacks, same
-    event_count. The object engine is the oracle for the batched fast
-    paths (delay-0 FIFO lane, timeline lane, strict/corpse-free drains)."""
+    """Engine vs the one-heap reference (tests/reference/heap_engine.py):
+    the two lanes must be *observably bit-identical* to a single heap —
+    same fire order, same clock at every fire, same queue_depth/peek seen
+    from inside callbacks, same event_count."""
 
     @staticmethod
     def _run_storm(engine_cls, specs):
-        from repro.sim import BatchedEngine, ObjectEngine  # noqa: F401
         from repro.sim.events import Event
 
         eng = engine_cls()
@@ -347,10 +346,8 @@ class TestEngineDifferentialOracle:
     ), min_size=1, max_size=30))
     @settings(max_examples=150, deadline=None)
     def test_storms_cancellations_priorities_identical(self, specs):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_storm(BatchedEngine, specs)
-                == self._run_storm(ObjectEngine, specs))
+        assert (self._run_storm(Engine, specs)
+                == self._run_storm(HeapEngine, specs))
 
     @staticmethod
     def _run_batches(engine_cls, batches, cancels):
@@ -399,10 +396,8 @@ class TestEngineDifferentialOracle:
     @settings(max_examples=100, deadline=None)
     def test_schedule_batch_with_cancel_inside_batch_identical(
             self, batches, cancels):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_batches(BatchedEngine, batches, cancels)
-                == self._run_batches(ObjectEngine, batches, cancels))
+        assert (self._run_batches(Engine, batches, cancels)
+                == self._run_batches(HeapEngine, batches, cancels))
 
     @staticmethod
     def _run_failures(engine_cls, specs):
@@ -429,9 +424,6 @@ class TestEngineDifferentialOracle:
     ), min_size=1, max_size=25))
     @settings(max_examples=100, deadline=None)
     def test_failed_events_identical(self, specs):
-        """fail() disables the failure-free drain mid-run; the observable
-        schedule must not change."""
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_failures(BatchedEngine, specs)
-                == self._run_failures(ObjectEngine, specs))
+        """Failed events queue and fire in the same order as successes."""
+        assert (self._run_failures(Engine, specs)
+                == self._run_failures(HeapEngine, specs))

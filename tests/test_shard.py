@@ -68,17 +68,19 @@ class TestPartitioning:
         assert shard_eligible(_spec(faults=None))
 
     def test_resolve_zero_without_opt_in(self, monkeypatch):
-        import repro.sim.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "SHARDED_DEFAULT", False)
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         assert resolve_shards(_spec(shards=None)) == 0
         assert resolve_shards(_spec(shards=0)) == 0
         assert resolve_shards(_spec(shards=3)) == 3
         # shards requested but config cannot shard -> serial fallback
         assert resolve_shards(_spec(variant="tampi", shards=3)) == 0
-        # under REPRO_ENGINE=sharded the default shard count kicks in
-        monkeypatch.setattr(engine_mod, "SHARDED_DEFAULT", True)
-        assert resolve_shards(_spec(shards=None)) == engine_mod.DEFAULT_SHARDS
+        # REPRO_SHARDS=N > 1 is the default for specs that do not say
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+        assert resolve_shards(_spec(shards=None)) == 0
+        monkeypatch.setenv("REPRO_SHARDS", "3")
+        assert resolve_shards(_spec(shards=None)) == 3
+        assert resolve_shards(_spec(shards=0)) == 0
+        assert resolve_shards(_spec(variant="tampi", shards=None)) == 0
 
     def test_shards_excluded_from_cache_key(self):
         from repro.harness.parallel import cache_key
@@ -158,16 +160,11 @@ class TestBitIdentity:
         assert got == base
 
     def test_env_selection(self, monkeypatch):
-        """REPRO_ENGINE=sharded + REPRO_SHARDS picks up eligible jobs."""
-        import repro.sim.engine as engine_mod
-        import repro.sim.shard as shard_mod
-
-        assert shard_mod  # resolver reads the engine module's globals
-        monkeypatch.setattr(engine_mod, "SHARDED_DEFAULT", True)
-        monkeypatch.setattr(engine_mod, "DEFAULT_SHARDS", 2)
+        """REPRO_SHARDS picks up eligible jobs."""
+        monkeypatch.setenv("REPRO_SHARDS", "2")
         params = _params(timesteps=2)
         base = _snap(run_gauss_seidel(_spec(n_nodes=4), params))
-        monkeypatch.setattr(engine_mod, "SHARDED_DEFAULT", False)
+        monkeypatch.delenv("REPRO_SHARDS")
         assert _snap(run_gauss_seidel(_spec(n_nodes=4), params)) == base
 
 
@@ -222,34 +219,40 @@ class TestWindowObservations:
 
 
 class TestWireBatchToggle:
-    """Satellite: app send loops routed through Cluster.send_batch must be
-    bit-identical to the per-message Cluster.send path."""
+    """App send loops routed through ``Cluster.send_batch`` must be
+    bit-identical to the per-message ``Cluster.send`` path (the toggle is
+    a test-side patch of ``send_batch``, not a product switch)."""
 
-    def _run_both(self, fn):
-        import repro.mpi.comm as comm
+    def _run_both(self, monkeypatch, fn):
+        import numpy as np
 
-        assert comm.BATCH_WIRE  # default on
-        try:
-            batched = fn()
-            comm.BATCH_WIRE = False
-            scalar = fn()
-        finally:
-            comm.BATCH_WIRE = True
-        return batched, scalar
+        from repro.network import Cluster
 
-    def test_gs_halo_exchange(self):
+        def scalar_send_batch(cluster, msgs, depart_delay=0.0):
+            delays = np.broadcast_to(np.asarray(depart_delay, dtype=float),
+                                     (len(msgs),))
+            return np.array([cluster.send(m, float(d))
+                             for m, d in zip(msgs, delays)])
+
+        batched = fn()
+        monkeypatch.setattr(Cluster, "send_batch", scalar_send_batch)
+        return batched, fn()
+
+    def test_gs_halo_exchange(self, monkeypatch):
         spec = _spec(n_nodes=4)
         params = _params(compute_data=True, timesteps=2)
-        a, b = self._run_both(lambda: _snap(run_gauss_seidel(spec, params)))
+        a, b = self._run_both(
+            monkeypatch, lambda: _snap(run_gauss_seidel(spec, params)))
         assert a == b
 
-    def test_streaming_writer(self):
+    def test_streaming_writer(self, monkeypatch):
         from repro.apps.streaming import StreamingParams, run_streaming
 
         spec = _spec(n_nodes=3)
         params = StreamingParams(chunks=3, elements_per_chunk=512,
                                  block_size=128)
-        a, b = self._run_both(lambda: _snap(run_streaming(spec, params)))
+        a, b = self._run_both(
+            monkeypatch, lambda: _snap(run_streaming(spec, params)))
         assert a == b
 
     def test_isend_batch_unit_matches_isend(self):

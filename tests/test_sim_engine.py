@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.sim import (BatchedEngine, Engine, Interrupt, Mutex, ObjectEngine,
-                       SimulationError)
+from repro.sim import Engine, Interrupt, Mutex, SimulationError
 from repro.sim.engine import PRIORITY_URGENT
 from repro.sim.events import Event, Timeout, AllOf, AnyOf
+from tests.conftest import ENGINE_SETUPS
 
 
 class TestEngineBasics:
@@ -297,30 +297,28 @@ class TestScheduleValidation:
 
 
 class TestTimeoutInlining:
-    """``Timeout.__init__`` is a hand-inlined ``Event.__init__`` +
-    ``succeed`` + ``Engine.schedule``: it must leave the engine and the
-    event exactly as ``Event(eng).succeed(value, delay)`` does."""
+    """``Timeout(eng, delay, value)`` must leave the engine and the event
+    exactly as ``Event(eng).succeed(value, delay)`` does."""
 
     @staticmethod
     def _state(eng, ev):
         slots = {s: getattr(ev, s, "<unset>") for s in Event.__slots__
                  if s not in ("engine", "callbacks")}
-        return (eng._seq, eng._qgen, eng.queue_depth, eng.peek(),
+        return (eng._seq, eng.queue_depth, eng.peek(),
                 [e._lseq for e in eng._lane],
                 [entry[:3] for entry in eng._heap],
                 ev.engine is eng, ev.callbacks, slots)
 
     @pytest.mark.parametrize("value", [None, "v"])
     @pytest.mark.parametrize("delay", [0.0, 2.5])
-    @pytest.mark.parametrize("engine_cls", [ObjectEngine, BatchedEngine],
-                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("engine_cls", ENGINE_SETUPS)
     def test_matches_event_succeed(self, engine_cls, delay, value):
         states = []
         for make in (lambda eng: Timeout(eng, delay, value),
                      lambda eng: Event(eng).succeed(value, delay=delay)):
             eng = engine_cls()
             eng.timeout(1.0)
-            eng.run()                       # now = 1.0, _seq and _qgen moved
+            eng.run()                       # now = 1.0, _seq moved
             eng.timeout(4.0)                # something already queued
             states.append(self._state(eng, make(eng)))
         assert states[0] == states[1]
@@ -517,34 +515,6 @@ class TestScheduleBatch:
         assert eng.queue_depth == 0
         assert eng.run() == 0.0
 
-    def test_empty_batch_keeps_qgen_on_both_engines(self):
-        # regression: ObjectEngine used to bump _qgen on empty batches
-        # while BatchedEngine early-returned, desyncing the generation
-        # counters the differential oracle compares
-        from repro.sim.engine import BatchedEngine, ObjectEngine
-
-        for cls in (BatchedEngine, ObjectEngine):
-            eng = cls()
-            gen = eng._qgen
-            eng.schedule_batch([], [])
-            assert eng._qgen == gen, cls.__name__
-            assert eng.queue_depth == 0
-
-    def test_batch_diagnosis_matches_on_both_engines(self):
-        # the indexed error text is part of the cross-engine contract —
-        # shard-boundary batch bugs must read the same under either engine
-        from repro.sim.engine import BatchedEngine, ObjectEngine
-
-        texts = {}
-        for cls in (BatchedEngine, ObjectEngine):
-            eng = cls()
-            evs = self._batch_events(eng, 3, [])
-            with pytest.raises(SimulationError) as exc:
-                eng.schedule_batch([1.0, 3.0, 2.0], evs)
-            texts[cls.__name__] = str(exc.value)
-        assert texts["BatchedEngine"] == texts["ObjectEngine"]
-        assert "times[2]" in texts["BatchedEngine"]
-
     def test_batch_validation(self):
         eng = Engine()
         evs = self._batch_events(eng, 2, [])
@@ -562,7 +532,7 @@ class TestScheduleBatch:
 
     def test_out_of_order_second_batch_stays_sorted(self):
         # A second batch starting before the queued tail of the first must
-        # not break the total order (the batched engine reroutes it).
+        # not break the total order.
         eng = Engine()
         order = []
         a = self._batch_events(eng, 2, order, labels=["a5", "a6"])
@@ -623,7 +593,8 @@ class TestScheduleBatch:
         assert eng.run() == 0.0
 
     def test_fail_inside_lane_drain_surfaces(self):
-        """fail() invalidates the failure-free lane drain mid-run."""
+        """A failure appended to the lane mid-drain fires in seq order
+        and surfaces from run()."""
         eng = Engine()
         fired = []
         boom = Event(eng)

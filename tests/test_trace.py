@@ -80,18 +80,13 @@ class TestMetricsRegistry:
 
 class TestEngineHooks:
     def test_run_progress_instants(self):
-        eng = Engine(tracer=Tracer())
+        eng = Engine(tracer=Tracer(progress_every=4))
         for i in range(10):
             Timeout(eng, float(i))
-        eng.run(trace_every=4)
-        marks = [r for r in eng.tracer.records if r.name == "run_progress"]
+        eng.run()
+        marks = [r for r in eng.tracer.records if r.name == "progress"]
         assert len(marks) == 2  # after 4 and 8 of 10 events
-        assert marks[0].args["fired"] == 4
-
-    def test_trace_every_validated(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            eng.run(trace_every=0)
+        assert [m.args["events"] for m in marks] == [4, 8]
 
     def test_budget_error_reports_pending_events(self):
         eng = Engine()
