@@ -8,9 +8,12 @@ core claim in causal terms: taskifying communication (TAMPI/TAGASPI)
 takes it off the critical path, so the critical-path communication share
 drops versus the blocking MPI baseline.
 
-It then exports one TAGASPI trace and re-diagnoses it through the
-``python -m repro.perf`` entry point — the same analysis, post-mortem,
-from a trace file on disk (docs/perf.md).
+``perf=True`` folds the model while the job runs and keeps no trace. The
+example then *records* the TAGASPI run, checks that replaying the recording
+gives the very same ``perf_*`` values (one builder, two feeds — the CI perf
+job runs :func:`two_feeds` on its own), exports the trace and re-diagnoses
+it through the ``python -m repro.perf`` entry point: the same analysis,
+post-mortem, from a trace file on disk (docs/perf.md).
 
     python examples/perf_diagnosis.py
 """
@@ -20,6 +23,7 @@ import tempfile
 
 from repro.apps.gauss_seidel import GSParams, run_gauss_seidel
 from repro.harness import JobSpec, MARENOSTRUM4
+from repro.perf import analyze_tracer
 from repro.perf.cli import main as perf_cli
 from repro.trace import Tracer, write_chrome_trace
 
@@ -36,6 +40,25 @@ def _params(variant):
 def _spec(variant, perf=True):
     return JobSpec(machine=MARENOSTRUM4, n_nodes=8, variant=variant,
                    poll_period_us=50, seed=1, perf=perf)
+
+
+def two_feeds(variant="tagaspi"):
+    """Diagnose ``variant`` online (``perf=True``) and by replaying a
+    recording of the same spec; any ``perf_*`` difference is an error.
+    Returns the recording tracer."""
+    online = run_gauss_seidel(_spec(variant), _params(variant)).extra
+    tracer = Tracer(progress_every=None)
+    spec = _spec(variant, perf=False)
+    run_gauss_seidel(spec, _params(variant), tracer=tracer)
+    replayed = analyze_tracer(tracer, variant=variant,
+                              cores_per_rank=spec.cores_per_rank
+                              ).extra_metrics()
+    diff = {k: (online.get(k), v) for k, v in replayed.items()
+            if repr(online.get(k)) != repr(v)}
+    assert not diff and replayed, f"online vs replay differ: {diff}"
+    print(f"online fold == recording + replay on all {len(replayed)} "
+          f"perf_* keys ({len(tracer.records)} records replayed)\n")
+    return tracer
 
 
 def main():
@@ -64,9 +87,7 @@ def main():
     # same diagnosis, post-mortem, from an exported trace file; set
     # REPRO_PERF_TRACE=<path> to keep the trace for `python -m repro.perf`
     # (the CI perf job does)
-    tracer = Tracer(progress_every=None)
-    run_gauss_seidel(_spec("tagaspi", perf=False), _params("tagaspi"),
-                     tracer=tracer)
+    tracer = two_feeds("tagaspi")
     keep = os.environ.get("REPRO_PERF_TRACE")
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = keep or os.path.join(tmp, "gs_tagaspi.trace.json")

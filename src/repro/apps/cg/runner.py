@@ -152,10 +152,6 @@ def run_cg(spec: JobSpec, params: CGParams,
     if params.n % spec.n_ranks != 0:
         raise ValueError(
             f"n={params.n} must divide evenly over {spec.n_ranks} ranks")
-    if tracer is None and spec.perf:
-        from repro.trace import Tracer
-
-        tracer = Tracer(progress_every=None)
     job = build_job(spec, tracer=tracer)
     nloc = params.n // spec.n_ranks
     colls = make_collectives(
@@ -184,12 +180,7 @@ def run_cg(spec: JobSpec, params: CGParams,
     if backend == "gaspi":
         result.extra["ec_missing"] = float(
             sum(sum(c.ec_missing) for c in colls))
-    if spec.perf:
-        from repro.perf import analyze_tracer
-
-        report = analyze_tracer(tracer, variant=spec.variant,
-                                cores_per_rank=spec.cores_per_rank)
-        result.extra.update(report.extra_metrics())
+    result.extra.update(job.perf_metrics())
     if collect_solution:
         if not params.compute_data:
             raise ValueError("collect_solution requires compute_data=True")

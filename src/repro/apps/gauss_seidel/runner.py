@@ -34,11 +34,6 @@ def run_gauss_seidel(spec: JobSpec, params: GSParams,
     against :func:`gs_reference`. ``tracer`` (a :class:`repro.trace.Tracer`)
     records the run's timeline.
     """
-    if tracer is None and spec.perf:
-        from repro.trace import Tracer
-
-        tracer = Tracer(progress_every=None)
-
     from repro.sim.shard import resolve_shards
 
     n_shards = resolve_shards(spec, tracer=tracer, collect_grid=collect_grid)
@@ -58,12 +53,7 @@ def run_gauss_seidel(spec: JobSpec, params: GSParams,
         sim_time=sim_time,
         extra=dict(job.metrics),
     )
-    if spec.perf:
-        from repro.perf import analyze_tracer
-
-        report = analyze_tracer(tracer, variant=spec.variant,
-                                cores_per_rank=spec.cores_per_rank)
-        result.extra.update(report.extra_metrics())
+    result.extra.update(job.perf_metrics())
     if collect_grid:
         if not params.compute_data:
             raise ValueError("collect_grid requires compute_data=True")

@@ -28,10 +28,6 @@ def run_miniamr(spec: JobSpec, params: AMRParams,
     throughput the paper reports alongside it (Fig. 11/12). ``tracer`` (a
     :class:`repro.trace.Tracer`) records the run's timeline.
     """
-    if tracer is None and spec.perf:
-        from repro.trace import Tracer
-
-        tracer = Tracer(progress_every=None)
     job = build_job(spec, tracer=tracer)
     if schedule is None:
         schedule = build_mesh_schedule(params, job.spec.n_ranks)
@@ -54,12 +50,7 @@ def run_miniamr(spec: JobSpec, params: AMRParams,
         sim_time=sim_time,
         extra=extra,
     )
-    if spec.perf:
-        from repro.perf import analyze_tracer
-
-        report = analyze_tracer(tracer, variant=spec.variant,
-                                cores_per_rank=spec.cores_per_rank)
-        result.extra.update(report.extra_metrics())
+    result.extra.update(job.perf_metrics())
     if collect_values:
         result.extra["values"] = state.final_values()
     return result

@@ -20,10 +20,6 @@ def run_streaming(spec: JobSpec, params: StreamingParams,
     ``tracer`` (a :class:`repro.trace.Tracer`) records the run's timeline."""
     if spec.n_nodes < 2:
         raise ValueError("the pipeline needs at least 2 nodes")
-    if tracer is None and spec.perf:
-        from repro.trace import Tracer
-
-        tracer = Tracer(progress_every=None)
     job = build_job(spec, tracer=tracer)
     ranks = make_ranks(job, params)
     outputs: Dict = {}
@@ -37,12 +33,7 @@ def run_streaming(spec: JobSpec, params: StreamingParams,
         sim_time=sim_time,
         extra=dict(job.metrics),
     )
-    if spec.perf:
-        from repro.perf import analyze_tracer
-
-        report = analyze_tracer(tracer, variant=spec.variant,
-                                cores_per_rank=spec.cores_per_rank)
-        result.extra.update(report.extra_metrics())
+    result.extra.update(job.perf_metrics())
     if collect_output:
         if not params.compute_data:
             raise ValueError("collect_output requires compute_data=True")

@@ -67,9 +67,9 @@ class JobSpec:
     #: :class:`repro.analysis.AnalysisError` on any error-severity finding.
     #: Checked runs are bit-identical to unchecked ones.
     check: Optional[str] = None
-    #: post-mortem performance diagnosis (repro.perf): when True the app
-    #: runner traces the run (if no tracer was passed in) and merges the
-    #: ``perf_*`` metrics into ``VariantResult.extra``. Tracing is passive,
+    #: performance diagnosis (repro.perf): when True the job observes
+    #: itself (:meth:`Job.perf_metrics`) and the app runner merges the
+    #: ``perf_*`` metrics into ``VariantResult.extra``. Observing is passive,
     #: so a ``perf=True`` run is bit-identical in sim time to a plain one.
     perf: bool = False
     #: collective-communication substrate for apps built on
@@ -131,6 +131,11 @@ class Job:
 
     def __init__(self, spec: JobSpec, tracer: Optional[Tracer] = None):
         self.spec = spec
+        if tracer is None and spec.perf:
+            # no timeline asked for: fold the model online, record nothing
+            from repro.perf import PerfTracer
+
+            tracer = PerfTracer()
         self.engine = Engine(tracer=tracer)
         self.tracer = self.engine.tracer
         rng = None if spec.seed is None else derive_rng(spec.seed, "net")
@@ -330,6 +335,15 @@ class Job:
         m.setdefault("fault_timeouts", 0.0)
         self.metrics = m
         return m
+
+    def perf_metrics(self) -> Dict[str, object]:
+        """``perf_*`` keys of the finished run ({} unless ``spec.perf``)."""
+        if not self.spec.perf:
+            return {}
+        from repro.perf import analyze_tracer
+
+        return analyze_tracer(self.tracer, self.spec.variant,
+                              self.spec.cores_per_rank).extra_metrics()
 
     # ------------------------------------------------------------------
     def app_rng(self, *path) -> np.random.Generator:

@@ -125,10 +125,10 @@ def run_variants(
         Checked runs are bit-identical to unchecked ones, so cached
         results remain valid per (spec, params) key.
     perf:
-        When True every point runs with post-mortem performance diagnosis
-        (the :attr:`JobSpec.perf` axis): the run is traced and the
+        When True every point runs with performance diagnosis (the
+        :attr:`JobSpec.perf` axis): the run is observed online and the
         ``perf_*`` efficiency / critical-path / wait-state metrics of
-        :mod:`repro.perf` land in each result's ``extra``. Tracing is
+        :mod:`repro.perf` land in each result's ``extra``. Observing is
         passive, so sim times are bit-identical to ``perf=False`` runs.
     workers:
         Shard the grid's points across this many processes (``1`` =

@@ -1,4 +1,4 @@
-"""Normalized performance model built from trace records.
+"""Normalized performance model folded from trace emits.
 
 The :class:`PerfModel` is the input to every analysis in :mod:`repro.perf`:
 it joins the tracer's causal instants (``task_submit``/``task_done`` with
@@ -6,9 +6,10 @@ predecessor uids, ``msg_send``/``msg_deliver`` wire edges, GASPI
 ``notify_arrival`` and TAGASPI ``notify_fulfilled`` completion edges) with
 the per-layer spans into per-task and per-rank views.
 
-It can be built either from a live :class:`~repro.trace.tracer.Tracer` or
-from an exported Chrome-trace document (``records_from_chrome``), so the
-CLI analyzes the same model the in-process ``perf=`` hook does.
+One builder, two feeds: a :class:`PerfTracer` folds the emits of a running
+``perf=True`` job and keeps no records; a recording tracer or an exported
+Chrome-trace document (``records_from_chrome``) is replayed through the
+same fold, so the CLI analyzes the model the in-process hook does.
 
 Rank normalization: the tasking runtime names ranks ``"rank0"`` (strings)
 while the MPI/GASPI/network layers use integer ranks; both are folded onto
@@ -17,15 +18,18 @@ the integer rank so a task and its communication land in the same bucket.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.trace.tracer import TraceRecord, Tracer
 
 _RANK_RE = re.compile(r"^rank ?(\d+)$")
 
 
+@functools.cache  # a handful of distinct names, asked for once per emit
 def norm_rank(rank: object) -> object:
     """Fold ``"rank3"`` / ``"rank 3"`` style names onto the integer rank."""
     if isinstance(rank, str):
@@ -83,7 +87,7 @@ def records_from_chrome(doc: dict) -> List[TraceRecord]:
     return records
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskInfo:
     """One completed task, keyed by (rank, uid)."""
 
@@ -97,15 +101,14 @@ class TaskInfo:
     finished: float = 0.0
     completed: float = 0.0
     cpu: float = 0.0
-    #: TAMPI ``iwait.pending`` spans bound to this task
-    mpi_waits: List[TraceRecord] = field(default_factory=list)
-    #: TAGASPI ``*.inflight`` / ``*.detect`` spans bound to this task
-    gaspi_ops: List[TraceRecord] = field(default_factory=list)
+    #: TAMPI ``iwait.pending`` spans bound to this task (tuples: most
+    #: tasks have none, and share the one empty default)
+    mpi_waits: Tuple[TraceRecord, ...] = ()
     #: joined notification waits bound to this task
-    notify_waits: List["NotifyWait"] = field(default_factory=list)
+    notify_waits: Tuple["NotifyWait", ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class NotifyWait:
     """One ``tagaspi_notify_iwait`` joined with its wire arrival."""
 
@@ -154,16 +157,24 @@ class RankView:
 
 
 class PerfModel:
-    """Joined causal model of one traced run."""
+    """Joined causal model of one traced run, built as a fold: feed every
+    emit in order (:class:`PerfTracer` online, or records replayed), then
+    :meth:`finish`. Only the records the analyses read back are kept."""
 
-    def __init__(self, records: List[TraceRecord]):
-        self.records = records
+    def __init__(self) -> None:
         self.tasks: Dict[Tuple[object, int], TaskInfo] = {}
         self.ranks: Dict[object, RankView] = {}
         self.makespan = 0.0
         #: msg_send instants by edge id, and matched deliver times
         self.edges: Dict[int, Tuple[TraceRecord, Optional[float]]] = {}
-        self._build()
+        self._finished = False
+        # what finish() joins: wire instants by edge id, notification
+        # instants by (rank, seg, notif_id), each in emission order
+        self._sends: Dict[int, TraceRecord] = {}
+        self._delivers: Dict[int, float] = {}
+        self._arrivals: Dict[tuple, List[TraceRecord]] = {}
+        self._consumes: Dict[tuple, List[NotifyWait]] = {}
+        self._submits: Dict[tuple, List[TraceRecord]] = {}
 
     # ------------------------------------------------------------------
     def _rank(self, rank: object) -> RankView:
@@ -179,89 +190,99 @@ class PerfModel:
             t = self.tasks[key] = TaskInfo(rank, uid)
         return t
 
-    def _build(self) -> None:
-        sends: Dict[int, TraceRecord] = {}
-        delivers: Dict[int, float] = {}
-        arrivals: Dict[Tuple[object, object, object], List[TraceRecord]] = {}
-        consumes: Dict[Tuple[object, object, object], List[NotifyWait]] = {}
-        submits: Dict[Tuple[object, object, object], List[TraceRecord]] = {}
+    # ------------------------------------------------------------------
+    # the fold: one call per emit, in emission order (a counter is an
+    # instant of a category nothing joins: only its time counts)
+    def span(self, cat: str, name: str, t0: float, t1: float, rank: object,
+             lane: Optional[str], args: Optional[dict]) -> None:
+        if t1 > self.makespan:
+            self.makespan = t1
+        if cat == "tasking":
+            if lane and lane[0] == "w":
+                self._rank(norm_rank(rank)).lanes.add(lane)
+            return
+        rec = TraceRecord("span", cat, name, rank, lane, t0, t1, args)
+        rank = norm_rank(rank)
+        if cat == "mpi":
+            rv = self._rank(rank)
+            if name in ("wait.block", "waitall.block"):
+                rv.blocked.append(rec)
+            else:
+                rv.mpi_calls.append(rec)
+        elif cat == "proc" and name == "compute":
+            self._rank(rank).compute.append(rec)
+        elif cat == "tampi" and name == "iwait.pending":
+            self._rank(rank).iwaits.append(rec)
+            uid = args.get("uid")
+            if uid is not None:
+                self._task(rank, uid).mpi_waits += (rec,)
+        elif cat == "tagaspi" and name.endswith(".detect"):
+            self._rank(rank).detects.append(rec)
+        elif cat == "gaspi":
+            self._rank(rank).gaspi_submits.append(rec)
 
-        for rec in self.records:
-            if rec.t1 > self.makespan:
-                self.makespan = rec.t1
-            rank = norm_rank(rec.rank)
-            cat, name = rec.category, rec.name
-            if rec.kind == "instant":
-                if cat == "tasking" and name == "task_submit":
-                    t = self._task(rank, rec.args["uid"])
-                    t.label = rec.args.get("task", t.label)
-                    t.preds = tuple(rec.args.get("preds", ()))
-                    t.created = rec.t0
-                elif cat == "tasking" and name == "task_done":
-                    t = self._task(rank, rec.args["uid"])
-                    t.label = rec.args.get("task", t.label)
-                    t.created = rec.args.get("created", t.created)
-                    t.ready = rec.args.get("ready", 0.0)
-                    t.started = rec.args.get("started", 0.0)
-                    t.finished = rec.args.get("finished", 0.0)
-                    t.completed = rec.t0
-                    t.cpu = rec.args.get("cpu", 0.0)
-                elif cat == "net" and name == "msg_send":
-                    sends[rec.args["eid"]] = rec
-                elif cat == "net" and name == "msg_deliver":
-                    delivers[rec.args["eid"]] = rec.t0
-                elif cat == "gaspi" and name == "notify_arrival":
-                    key = (rank, rec.args.get("seg"), rec.args.get("notif_id"))
-                    arrivals.setdefault(key, []).append(rec)
-                elif cat == "tagaspi" and name == "op_submit":
-                    key = (norm_rank(rec.args.get("dest")),
-                           rec.args.get("seg"), rec.args.get("notif_id"))
-                    submits.setdefault(key, []).append(rec)
-                elif cat == "tagaspi" and name in ("notify_fulfilled",
-                                                   "notify_immediate"):
-                    immediate = name == "notify_immediate"
-                    nw = NotifyWait(
-                        rank, rec.args.get("seg"), rec.args.get("notif_id"),
-                        rec.args.get("uid"),
-                        rec.args.get("registered_at", rec.t0), rec.t0,
-                        immediate=immediate)
-                    key = (rank, nw.seg, nw.notif_id)
-                    consumes.setdefault(key, []).append(nw)
-            elif rec.kind == "span":
-                if cat == "mpi":
-                    rv = self._rank(rank)
-                    if name in ("wait.block", "waitall.block"):
-                        rv.blocked.append(rec)
-                    else:
-                        rv.mpi_calls.append(rec)
-                elif cat == "proc" and name == "compute":
-                    self._rank(rank).compute.append(rec)
-                elif cat == "tampi" and name == "iwait.pending":
-                    self._rank(rank).iwaits.append(rec)
-                    uid = rec.args.get("uid")
-                    if uid is not None:
-                        self._task(rank, uid).mpi_waits.append(rec)
-                elif cat == "tagaspi":
-                    if name.endswith(".detect"):
-                        self._rank(rank).detects.append(rec)
-                    if name.endswith((".inflight", ".detect")):
-                        uid = rec.args.get("uid")
-                        if uid is not None:
-                            self._task(rank, uid).gaspi_ops.append(rec)
-                elif cat == "gaspi":
-                    self._rank(rank).gaspi_submits.append(rec)
-                elif cat == "tasking":
-                    lane = rec.lane or ""
-                    if lane.startswith("w"):
-                        self._rank(rank).lanes.add(lane)
+    def instant(self, cat: str, name: str, t: float, rank: object,
+                lane: Optional[str], args: Optional[dict]) -> None:
+        if t > self.makespan:
+            self.makespan = t
+        if cat == "tasking" and name == "task_submit":
+            ti = self._task(norm_rank(rank), args["uid"])
+            ti.label = args.get("task", ti.label)
+            ti.preds = tuple(args.get("preds", ()))
+            ti.created = t
+        elif cat == "tasking" and name == "task_done":
+            self.task_done(rank, t, **args)
+        elif cat == "net" and name == "msg_send":
+            self._sends[args["eid"]] = TraceRecord(
+                "instant", cat, name, rank, lane, t, t, args)
+        elif cat == "net" and name == "msg_deliver":
+            self._delivers[args["eid"]] = t
+        elif cat == "gaspi" and name == "notify_arrival":
+            key = (norm_rank(rank), args.get("seg"), args.get("notif_id"))
+            self._arrivals.setdefault(key, []).append(TraceRecord(
+                "instant", cat, name, rank, lane, t, t, args))
+        elif cat == "tagaspi" and name == "op_submit":
+            key = (norm_rank(args.get("dest")), args.get("seg"),
+                   args.get("notif_id"))
+            self._submits.setdefault(key, []).append(TraceRecord(
+                "instant", cat, name, rank, lane, t, t, args))
+        elif cat == "tagaspi" and name in ("notify_fulfilled",
+                                           "notify_immediate"):
+            nw = NotifyWait(
+                norm_rank(rank), args.get("seg"), args.get("notif_id"),
+                args.get("uid"), args.get("registered_at", t), t,
+                immediate=name == "notify_immediate")
+            self._consumes.setdefault(
+                (nw.rank, nw.seg, nw.notif_id), []).append(nw)
 
+    def task_done(self, rank: object, t: float, uid: int,
+                  task: Optional[str] = None, created: Optional[float] = None,
+                  ready: float = 0.0, started: float = 0.0,
+                  finished: float = 0.0, cpu: float = 0.0, **_) -> None:
+        """The ``tasking/task_done`` instant, its args spelled out."""
+        if t > self.makespan:
+            self.makespan = t
+        ti = self._task(norm_rank(rank), uid)
+        if task is not None:
+            ti.label = task
+        if created is not None:
+            ti.created = created
+        ti.ready, ti.started, ti.finished = ready, started, finished
+        ti.completed = t
+        ti.cpu = cpu
+
+    def finish(self) -> "PerfModel":
+        """Join what the fold collected, once every record is in."""
+        if self._finished:
+            return self
+        self._finished = True
         # join notification consumption with wire arrivals, FIFO per
         # (rank, seg, notif_id) — ids are reused across iterations and
         # consumed in posting order
-        for key, waits in consumes.items():
+        for key, waits in self._consumes.items():
             waits.sort(key=lambda w: w.fulfilled_at)
-            arr = sorted(arrivals.get(key, ()), key=lambda r: r.t0)
-            sub = sorted(submits.get(key, ()), key=lambda r: r.t0)
+            arr = sorted(self._arrivals.get(key, ()), key=lambda r: r.t0)
+            sub = sorted(self._submits.get(key, ()), key=lambda r: r.t0)
             for i, w in enumerate(waits):
                 if i < len(arr):
                     w.arrival_at = arr[i].t0
@@ -271,11 +292,11 @@ class PerfModel:
                     w.producer_uid = sub[i].args.get("uid")
                     w.submit_at = sub[i].t0
                 if w.uid is not None:
-                    self._task(key[0], w.uid).notify_waits.append(w)
+                    self._task(key[0], w.uid).notify_waits += (w,)
                 self._rank(key[0]).notify_waits.append(w)
 
-        for eid, rec in sends.items():
-            self.edges[eid] = (rec, delivers.get(eid))
+        for eid, rec in self._sends.items():
+            self.edges[eid] = (rec, self._delivers.get(eid))
         # wire lookup keyed by the recv side's knowledge of the message:
         # (src, dst, tag, injection time) -> delivery time
         self.wire: Dict[Tuple[object, object, object, float], float] = {}
@@ -299,12 +320,11 @@ class PerfModel:
         self._starts_by_rank: Dict[object, List[float]] = {
             r: [x.started for x in ts]
             for r, ts in self.tasks_by_rank.items()}
+        return self
 
     def task_running_at(self, rank: object, t: float) -> Optional["TaskInfo"]:
         """The completed task on ``rank`` whose body covered sim time ``t``
         (latest-starting one when worker lanes overlap); None if idle."""
-        import bisect
-
         tasks = self.tasks_by_rank.get(rank)
         if not tasks:
             return None
@@ -329,9 +349,55 @@ class PerfModel:
         return any(t.completed > 0.0 for t in self.tasks.values())
 
 
+class PerfTracer(Tracer):
+    """What a ``perf=True`` job with no tracer passed in observes itself
+    with: every emit is folded into :attr:`model`; ``records`` stays empty."""
+
+    def __init__(self) -> None:
+        super().__init__(progress_every=None)
+        self.model = PerfModel()
+
+    def span(self, category, name, t0, t1, rank=None, lane=None, **args):
+        if t1 < t0:
+            raise ValueError(f"span {category}/{name}: t1={t1} < t0={t0}")
+        self.model.span(category, name, t0, t1, rank, lane, args)
+
+    def instant(self, category, name, t, rank=None, lane=None, **args):
+        self.model.instant(category, name, t, rank, lane, args)
+
+    def counter(self, category, name, t, value, rank=None):
+        self.model.instant("counter", name, t, rank, None, None)
+
+    # the typed emits read the objects' slots: no kwargs dict per task
+    def task_on_core(self, worker, task, t0, outcome):
+        self.span("tasking", task.label, t0, worker.engine.now,
+                  worker.runtime.name, worker.lane)
+
+    def task_done(self, runtime, task):
+        self.model.task_done(
+            runtime.name, runtime.engine.now, task.uid, task.label,
+            task.created_at, task.ready_at, task.started_at,
+            task.finished_at, task.cpu_time)
+
+
+def model_from_records(records: Iterable[TraceRecord]) -> PerfModel:
+    """Replay records through the fold a :class:`PerfTracer` feeds online."""
+    model = PerfModel()
+    for kind, cat, name, rank, lane, t0, t1, args in records:
+        if kind == "span":
+            model.span(cat, name, t0, t1, rank, lane, args)
+        else:  # a counter goes in as an instant of category "counter"
+            model.instant(cat if kind == "instant" else kind, name, t1,
+                          rank, lane, args)
+    return model.finish()
+
+
 def model_from_tracer(tracer: Tracer) -> PerfModel:
-    return PerfModel(list(tracer.records))
+    """A :class:`PerfTracer` has the model already; records are replayed."""
+    if isinstance(tracer, PerfTracer):
+        return tracer.model.finish()
+    return model_from_records(tracer.records)
 
 
 def model_from_chrome(doc: dict) -> PerfModel:
-    return PerfModel(records_from_chrome(doc))
+    return model_from_records(records_from_chrome(doc))

@@ -115,7 +115,7 @@ def analyze_model(model: PerfModel, variant: Optional[str] = None,
 
 def analyze_tracer(tracer, variant: Optional[str] = None,
                    cores_per_rank: Optional[int] = None) -> PerfReport:
-    """Diagnose a live :class:`~repro.trace.tracer.Tracer`."""
+    """Diagnose a finished run from its tracer (online or recording)."""
     return analyze_model(model_from_tracer(tracer), variant=variant,
                          cores_per_rank=cores_per_rank)
 

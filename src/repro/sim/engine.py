@@ -305,8 +305,8 @@ class Engine:
         """True if anything can emit a record per fired event: a ``trace``
         callable, or an enabled tracer with ``engine_events`` or a
         ``progress_every`` period. A tracer that only collects the other
-        layers' records (``Tracer(progress_every=None)``, what ``perf=True``
-        and ``check=`` jobs install) leaves the dispatch loop hook-free."""
+        layers' emits (``progress_every=None``: the ``PerfTracer`` of a
+        ``perf=True`` job) leaves the dispatch loop hook-free."""
         tr = self.tracer
         return self._trace is not None or (tr.enabled and (
             tr.engine_events or tr.progress_every is not None))

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.tasking.task import TaskState
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tasking.task import Task
 
@@ -82,8 +84,6 @@ class DependencyTracker:
         added — the explicit dependency edges the tracer exports for
         post-mortem critical-path analysis (:mod:`repro.perf`).
         """
-        from repro.tasking.task import TaskState
-
         added = 0
         for d in task.deps:
             region = self._regions.get(d.key)
@@ -123,8 +123,6 @@ class DependencyTracker:
     def prune(self) -> None:
         """Drop regions whose entire history has completed (memory bound
         for long-running simulations)."""
-        from repro.tasking.task import TaskState
-
         dead = [
             k
             for k, st in self._regions.items()

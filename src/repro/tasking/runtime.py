@@ -247,11 +247,7 @@ class Runtime:
                     task.completed_at, rank=self.name, task=task.label,
                     uid=task.uid)
         if tr.enabled:
-            tr.instant("tasking", "task_done", self.engine.now,
-                       rank=self.name, task=task.label, uid=task.uid,
-                       created=task.created_at, ready=task.ready_at,
-                       started=task.started_at, finished=task.finished_at,
-                       cpu=task.cpu_time)
+            tr.task_done(self, task)
         st = self.stats
         st.tasks_completed += 1
         st.total_task_cpu_time += task.cpu_time

@@ -65,6 +65,7 @@ class Worker:
     def __init__(self, runtime: "Runtime", index: int):
         self.runtime = runtime
         self.index = index
+        self.lane = f"w{index}"
         self.engine = runtime.engine
         self.sink = AccumulatingSink()
         self.busy_time = 0.0
@@ -100,7 +101,7 @@ class Worker:
             tr = eng.tracer
             if tr.enabled and eng.now > task.ready_at:
                 tr.span("tasking", "ready_wait", task.ready_at, eng.now,
-                        rank=rt.name, lane=f"w{self.index}",
+                        rank=rt.name, lane=self.lane,
                         task=task.label, uid=task.uid)
         else:
             task.state = TaskState.RUNNING
@@ -174,9 +175,7 @@ class Worker:
         timeline lane per core, like the paper's Paraver views)."""
         tr = self.engine.tracer
         if tr.enabled:
-            tr.span("tasking", task.label, t0, self.engine.now,
-                    rank=self.runtime.name, lane=f"w{self.index}",
-                    uid=task.uid, outcome=outcome)
+            tr.task_on_core(self, task, t0, outcome)
 
     def _realize(self, task: Task):
         """Turn lazily-charged CPU into core-busy simulated time."""

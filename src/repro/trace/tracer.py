@@ -90,6 +90,22 @@ class Tracer:
                         {"value": value})
         )
 
+    # typed emits (the two hottest sites): the base implementation *is*
+    # the generic record; a subclass may read the objects' slots instead
+    def task_on_core(self, worker, task, t0: float, outcome: str) -> None:
+        """One on-core interval of ``task`` on ``worker``, ending now."""
+        self.span("tasking", task.label, t0, worker.engine.now,
+                  rank=worker.runtime.name, lane=worker.lane,
+                  uid=task.uid, outcome=outcome)
+
+    def task_done(self, runtime, task) -> None:
+        """``task`` completed now (body finished, events fulfilled)."""
+        self.instant("tasking", "task_done", runtime.engine.now,
+                     rank=runtime.name, task=task.label, uid=task.uid,
+                     created=task.created_at, ready=task.ready_at,
+                     started=task.started_at, finished=task.finished_at,
+                     cpu=task.cpu_time)
+
     # ------------------------------------------------------------------
     # queries (used by tests, the text exporter, and the CLI)
     # ------------------------------------------------------------------

@@ -28,17 +28,18 @@ from repro.perf import (
     model_from_chrome,
     model_from_tracer,
 )
-from repro.perf.model import norm_rank
-from repro.trace import Tracer, chrome_trace, write_chrome_trace
+from repro.perf.model import PerfTracer, norm_rank
+from repro.trace import TraceRecord, Tracer, chrome_trace, write_chrome_trace
 
 MACH4 = MARENOSTRUM4.with_cores(4)
 
 
 def gs_trace(variant, *, n_nodes=2, seed=7, rows=64, cols=256, steps=2,
-             block=32, poll=25):
-    tracer = Tracer(progress_every=None)
+             block=32, poll=25, perf=False, tracer=None):
+    if tracer is None:
+        tracer = Tracer(progress_every=None)
     spec = JobSpec(machine=MACH4, n_nodes=n_nodes, variant=variant,
-                   seed=seed, poll_period_us=poll)
+                   seed=seed, poll_period_us=poll, perf=perf)
     params = GSParams(rows=rows, cols=cols, timesteps=steps,
                       block_size=block, compute_data=False)
     res = run_gauss_seidel(spec, params, tracer=tracer)
@@ -273,6 +274,170 @@ class TestRunnerAxis:
         for per_fault in results.values():
             for res in per_fault.values():
                 assert "perf_dominant_wait" in res.extra
+
+
+def _two_feed_cases():
+    from repro.apps.cg import CGParams, run_cg
+    from repro.apps.miniamr import AMRParams, run_miniamr
+    from repro.apps.streaming import StreamingParams, run_streaming
+
+    gs = GSParams(rows=64, cols=256, timesteps=2, block_size=32,
+                  compute_data=False)
+    hybrid = dict(machine=MACH4, n_nodes=2, seed=7, poll_period_us=25)
+    cases = [(f"gs-{v}", run_gauss_seidel, dict(hybrid, variant=v), gs)
+             for v in ("mpi", "tampi", "tagaspi")]
+    cases.append(("streaming-tagaspi", run_streaming,
+                  dict(hybrid, variant="tagaspi"),
+                  StreamingParams(chunks=4, elements_per_chunk=512,
+                                  block_size=128, compute_data=False)))
+    cases.append(("miniamr-tagaspi", run_miniamr,
+                  dict(hybrid, variant="tagaspi"),
+                  AMRParams(nx=2, ny=2, nz=2, max_level=1, timesteps=6,
+                            refine_every=3, variables=4, stages=2,
+                            n_objects=1, compute_data=False)))
+    cases.append(("cg-gaspi", run_cg,
+                  dict(machine=MACH4, n_nodes=1, variant="mpi",
+                       backend="gaspi"),
+                  CGParams(n=48, iterations=6)))
+    return [pytest.param(*c[1:], id=c[0]) for c in cases]
+
+
+def _retained(model):
+    """Every TraceRecord the model still references, each once."""
+    recs = []
+    for rv in model.ranks.values():
+        for bucket in (rv.blocked, rv.mpi_calls, rv.compute,
+                       rv.gaspi_submits, rv.detects, rv.iwaits):
+            recs.extend(bucket)
+    # a task's mpi_waits are the very objects in its rank's iwaits
+    for t in model.tasks.values():
+        iwaits = model.ranks[t.rank].iwaits if t.mpi_waits else ()
+        assert all(any(r is w for w in iwaits) for r in t.mpi_waits)
+    recs.extend(r for r, _ in model.edges.values())
+    for joined in (model._arrivals, model._submits):
+        for bucket in joined.values():
+            recs.extend(bucket)
+    assert all(isinstance(r, TraceRecord) for r in recs)
+    return recs
+
+
+def _joined(rec):
+    """docs/perf.md's table: the record kinds the model keeps whole."""
+    if rec.kind == "span":
+        return (rec.category in ("mpi", "gaspi")
+                or (rec.category, rec.name) in (("proc", "compute"),
+                                                ("tampi", "iwait.pending"))
+                or (rec.category == "tagaspi"
+                    and rec.name.endswith(".detect")))
+    return (rec.category, rec.name) in (("net", "msg_send"),
+                                        ("gaspi", "notify_arrival"),
+                                        ("tagaspi", "op_submit"))
+
+
+class TestOneBuilderTwoFeeds:
+    """The online fold (PerfTracer) and the replay of a recording Tracer
+    are the same builder, so their reports are equal to the last bit."""
+
+    @pytest.mark.parametrize("runner,spec_kw,params", _two_feed_cases())
+    def test_online_report_equals_replayed_report(self, runner, spec_kw,
+                                                  params):
+        spec = JobSpec(**spec_kw)
+        online, recording = PerfTracer(), Tracer(progress_every=None)
+        res_on = runner(spec, params, tracer=online)
+        res_rec = runner(spec, params, tracer=recording)
+        assert res_on.sim_time == res_rec.sim_time
+        assert online.records == [] and recording.records
+        kw = dict(variant=spec.variant, cores_per_rank=spec.cores_per_rank)
+        a, b = analyze_tracer(online, **kw), analyze_tracer(recording, **kw)
+        assert a.extra_metrics() == b.extra_metrics()
+        assert a.path.segments == b.path.segments
+        assert a.model.makespan == b.model.makespan > 0.0
+        # and the perf=True axis (no tracer passed) is the online feed
+        res = runner(JobSpec(**spec_kw, perf=True), params)
+        assert {k: v for k, v in res.extra.items()
+                if k.startswith("perf_")} == a.extra_metrics()
+
+    def test_user_tracer_with_perf_records_and_replays(self):
+        res, tracer = gs_trace("tagaspi", perf=True)
+        assert tracer.records
+        assert res.extra["perf_cp_length_s"] == \
+            analyze_tracer(tracer).extra_metrics()["perf_cp_length_s"]
+
+    def test_perf_job_keeps_no_records_and_only_joined_ones(self, monkeypatch):
+        import repro.apps.gauss_seidel.runner as gs_runner
+
+        jobs = []
+        real = gs_runner.build_job
+
+        def spy(spec, tracer=None):
+            jobs.append(real(spec, tracer=tracer))
+            return jobs[-1]
+
+        monkeypatch.setattr(gs_runner, "build_job", spy)
+        spec = JobSpec(machine=MACH4, n_nodes=2, variant="tagaspi", seed=7,
+                       poll_period_us=25, perf=True)
+        params = GSParams(rows=64, cols=256, timesteps=2, block_size=32,
+                          compute_data=False)
+        run_gauss_seidel(spec, params)
+        tracer = jobs[0].tracer
+        assert isinstance(tracer, PerfTracer)
+        assert tracer.records == [] and len(tracer) == 0
+        kept = _retained(tracer.model)
+        assert all(_joined(r) for r in kept)
+        # the recording twin: what it kept whole is what was joined
+        _, recording = gs_trace("tagaspi", perf=True)
+        want = [r for r in recording.records if _joined(r)]
+        assert sorted(kept, key=repr) == sorted(want, key=repr)
+        # pinned: of the 990 records this job emits, the model keeps 240
+        assert (len(kept), len(recording.records)) == (240, 990)
+
+    def test_finish_is_idempotent(self):
+        _, tracer = gs_trace("tagaspi", tracer=PerfTracer())
+        first = analyze_tracer(tracer).extra_metrics()
+        assert analyze_tracer(tracer).extra_metrics() == first
+
+    def test_perf_tracer_validates_spans_and_counts_every_t1(self):
+        tracer = PerfTracer()
+        with pytest.raises(ValueError, match="t1=1.0 < t0=2.0"):
+            tracer.span("mpi", "isend", 2.0, 1.0, rank=0)
+        # records the model otherwise ignores still move the makespan
+        tracer.span("net", "eager.data", 0.0, 3.0, rank=0)
+        tracer.counter("sim", "queue_depth", 4.0, 7.0)
+        tracer.instant("faults", "rts_retry", 5.0, rank=1)
+        assert tracer.model.makespan == 5.0
+        assert tracer.records == [] and not tracer.model.ranks
+
+    def test_typed_emits_are_the_generic_records(self):
+        """A typed emit's base implementation is the generic record: all
+        eight fields, args key order included."""
+        from types import SimpleNamespace as NS
+
+        engine = NS(now=2.5)
+        runtime = NS(name="rank3", engine=engine)
+        worker = NS(runtime=runtime, engine=engine, lane="w1")
+        task = NS(label="halo", uid=17, created_at=0.5, ready_at=1.0,
+                  started_at=1.5, finished_at=2.0, cpu_time=0.25)
+        typed, generic = Tracer(), Tracer()
+        typed.task_on_core(worker, task, 1.5, "sleep")
+        generic.span("tasking", "halo", 1.5, 2.5, rank="rank3", lane="w1",
+                     uid=17, outcome="sleep")
+        typed.task_done(runtime, task)
+        generic.instant("tasking", "task_done", 2.5, rank="rank3",
+                        task="halo", uid=17, created=0.5, ready=1.0,
+                        started=1.5, finished=2.0, cpu=0.25)
+        assert typed.records == generic.records
+        assert ([list(r.args) for r in typed.records]
+                == [list(r.args) for r in generic.records])
+        # and the PerfTracer overrides feed the same model state
+        online = PerfTracer()
+        online.task_on_core(worker, task, 1.5, "sleep")
+        online.task_done(runtime, task)
+        from repro.perf.model import model_from_records
+
+        replayed = model_from_records(typed.records)
+        assert online.model.finish().tasks == replayed.tasks
+        assert online.model.ranks == replayed.ranks
+        assert online.model.makespan == replayed.makespan == 2.5
 
 
 class TestAcceptance:
