@@ -37,6 +37,7 @@ def _mpi_rma_pattern(n):
             yield from win.flush(0, 1)  # remote completion (extra RTT)
             req = yield from drv.isend(None, 1, tag=1)  # the notification
             yield from drv.wait(req)
+            yield from drv.sync()  # the next put enters the bare window
 
     def target(drv):
         for _ in range(ITERS):

@@ -68,20 +68,30 @@ def _cg_main(job: Job, params: CGParams, coll, st: _RankState, drv):
     dot_cost = machine.kernel_time("cg_dot", nloc)
     axpy_cost = machine.kernel_time("cg_axpy", nloc)
 
+    def on_rank(collective):
+        # collectives run on the bare rank: sync() brings the engine to the
+        # driver's clock on the way in and, on the way out, realises the
+        # substrate's CPU charge as its own event (folded into the next
+        # compute, that event can trade places with a neighbour's
+        # same-instant notification poll — tests/test_lazy_clock.py)
+        yield from drv.sync()
+        out = yield from collective
+        yield from drv.sync()
+        return out
+
     def main(drv):
         # right-hand side: computed at root, broadcast to everyone
         b_full = cg_rhs(n) if (st.rank == 0 and data) else np.zeros(n)
-        b_full = yield from coll.bcast(b_full, root=0)
-        yield from drv.compute(0.0)  # realize bcast CPU charges
+        b_full = yield from on_rank(coll.bcast(b_full, root=0))
         r_ = b_full[st.r0:st.r1].copy()
         p_loc = r_.copy()
-        rsold_arr = yield from coll.allreduce([float(r_ @ r_)])
+        rsold_arr = yield from on_rank(coll.allreduce([float(r_ @ r_)]))
         yield from drv.compute(noisy(dot_cost))
         rsold = float(rsold_arr[0])
 
         for _ in range(iters):
             # matvec needs the whole search direction: allgather p
-            p_full = yield from coll.allgather(p_loc)
+            p_full = yield from on_rank(coll.allgather(p_loc))
             if data:
                 ap = st.a_rows @ p_full
             else:
@@ -90,11 +100,9 @@ def _cg_main(job: Job, params: CGParams, coll, st: _RankState, drv):
 
             pap_loc = float(p_loc @ ap)
             yield from drv.compute(noisy(dot_cost))
-            if ec:
-                pap_arr = yield from coll.ec_allreduce(
-                    [pap_loc], staleness=params.staleness)
-            else:
-                pap_arr = yield from coll.allreduce([pap_loc])
+            pap_arr = yield from on_rank(
+                coll.ec_allreduce([pap_loc], staleness=params.staleness)
+                if ec else coll.allreduce([pap_loc]))
             pap = float(pap_arr[0])
 
             # EC partial sums can make alpha ill-defined mid-run; the
@@ -106,11 +114,9 @@ def _cg_main(job: Job, params: CGParams, coll, st: _RankState, drv):
 
             rsnew_loc = float(r_ @ r_)
             yield from drv.compute(noisy(dot_cost))
-            if ec:
-                rsnew_arr = yield from coll.ec_allreduce(
-                    [rsnew_loc], staleness=params.staleness)
-            else:
-                rsnew_arr = yield from coll.allreduce([rsnew_loc])
+            rsnew_arr = yield from on_rank(
+                coll.ec_allreduce([rsnew_loc], staleness=params.staleness)
+                if ec else coll.allreduce([rsnew_loc]))
             rsnew = float(rsnew_arr[0])
 
             beta = rsnew / rsold if rsold != 0.0 else 0.0
@@ -119,10 +125,13 @@ def _cg_main(job: Job, params: CGParams, coll, st: _RankState, drv):
             rsold = rsnew
 
         # exactness restored: consume stragglers, then one exact reduction
+        # (one entry for the three: nothing realises a charge in between)
+        yield from drv.sync()
         yield from coll.barrier()
         if ec:
             yield from coll.ec_fence()
         final_arr = yield from coll.allreduce([float(r_ @ r_)])
+        yield from drv.sync()
         yield from drv.compute(noisy(dot_cost))
         st.residual = float(final_arr[0])
 

@@ -166,7 +166,7 @@ def mpi_only_main(state: AMRJobState, rank: int):
         for e, mesh in enumerate(sched.meshes):
             plan = state.plans[e][rank]
             if rank == 0:
-                t_ref0 = drv.engine.now
+                t_ref0 = drv.now
             # refinement (serial) + synchronization
             yield from drv.compute(state.refine_cost(rank, e))
             yield from drv.barrier()
@@ -190,7 +190,7 @@ def mpi_only_main(state: AMRJobState, rank: int):
                 yield from drv.waitall(reqs)
                 yield from drv.barrier()
             if rank == 0:
-                state.refine_windows.append((t_ref0, drv.engine.now))
+                state.refine_windows.append((t_ref0, drv.now))
             # stages
             par = state.epoch_start_parity(e)
             steps_here = min(params.refine_every,

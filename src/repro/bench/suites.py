@@ -637,7 +637,6 @@ def bench_collectives(quick: bool = False) -> dict:
             def main(drv):
                 for _ in range(reps):
                     yield from colls[r].allreduce(data)
-                yield from drv.compute(0.0)
             return drv.spawn(main)
 
         sim = job.run([factory(r, job.drivers[r])

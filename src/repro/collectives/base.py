@@ -14,8 +14,8 @@ the same order with equal element counts. Payloads are float64; values
 are coerced with :func:`coerce` and results come back as 1-D float64
 arrays. All operations must be driven with ``yield from`` inside a
 simulated process; CPU charged by the underlying comm layers accumulates
-in the caller's context sink as usual (realize it with
-``drv.compute(...)`` in MPI-only processes).
+in the caller's context sink as usual (an MPI-only process brackets the
+call with ``drv.sync()``, see :class:`repro.mpi.comm.MPIProcDriver`).
 """
 
 from __future__ import annotations

@@ -330,7 +330,7 @@ class MPIRank:
                                   kind=req.kind) if an.enabled else None
             t0 = self.engine.now
             try:
-                yield req.event
+                yield req.wait_event()
             finally:
                 if an.enabled:
                     an.wait_exit(token)
@@ -351,7 +351,7 @@ class MPIRank:
                       for r in still] if an.enabled else []
             t0 = self.engine.now
             try:
-                yield self.engine.all_of([r.event for r in still])
+                yield self.engine.all_of([r.wait_event() for r in still])
             finally:
                 if an.enabled:
                     for token in tokens:
@@ -555,86 +555,122 @@ class MPIRank:
 
 
 class MPIProcDriver:
-    """Convenience wrapper for writing **MPI-only** rank processes.
-
-    Wraps an :class:`MPIRank` so that each call realizes its charged CPU
-    time as simulated delay immediately, which is the right model for a
-    single-threaded MPI process (the paper's pure-MPI baselines)::
+    """Convenience wrapper for writing **MPI-only** rank processes (the
+    paper's single-threaded pure-MPI baselines)::
 
         def main(drv):
             req = yield from drv.isend(buf, dest, tag)
             yield from drv.compute(seconds)
             yield from drv.waitall([req, ...])
 
-    The driver's process must be created with
-    ``engine.process(main(drv))`` and assigned ``drv.sink`` as its context —
-    :meth:`spawn` does both.
+    Time nobody else can observe is arithmetic: the driver keeps a clock
+    :attr:`now` ``>= engine.now``, folds charged CPU into it as the
+    left-to-right sums a chain of timeouts would produce, and ``compute``,
+    ``wait`` and ``waitall`` only advance it (a wait suspends only on a
+    receive nothing has matched yet). :meth:`sync` realises the clock as one
+    event before every call another process can observe — a send, a receive
+    post, a collective, process exit; a process that enters a bare substrate
+    itself (``repro.collectives``, an RMA window) syncs first.
+    :meth:`spawn` starts the process with ``drv.sink`` as its context.
     """
 
     def __init__(self, mpi_rank: MPIRank):
         self.mpi = mpi_rank
         self.engine = mpi_rank.engine
         self.sink = AccumulatingSink()
+        self._t = 0.0
 
     def spawn(self, body_factory) -> "object":
         """Start ``body_factory(self)`` as this rank's main process."""
-        proc = self.engine.process(body_factory(self))
+        proc = self.engine.process(self._main(body_factory(self)))
         proc.context = self.sink
         proc.name = f"mpi-only.rank{self.mpi.rank}"
         return proc
 
-    def _realize(self) -> Generator:
-        dt = self.sink.take()
-        if dt > 0.0:
-            yield self.engine.timeout(dt)
+    def _main(self, body: Generator) -> Generator:
+        result = yield from body
+        yield from self.sync()  # the process ends at its own clock
+        return result
+
+    @property
+    def now(self) -> float:
+        """This rank's clock, pending CPU charges folded in."""
+        t = max(self._t, self.engine.now)
+        self._t = t = t + self.sink.take()
+        return t
+
+    def sync(self) -> Generator:
+        """Bring the engine to this rank's clock (one event, or none)."""
+        t = self.now
+        if t > self.engine.now:
+            ev = self.engine.event()
+            ev._ok = ev._scheduled = True
+            self.engine.schedule_at(ev, t)
+            yield ev
 
     def compute(self, seconds: float) -> Generator:
         """Occupy this rank's (single) core for ``seconds``."""
-        yield from self._realize()
+        t0 = self.now
         if seconds > 0.0:
-            t0 = self.engine.now
-            yield self.engine.timeout(seconds)
+            self._t = t0 + seconds
             tr = self.engine.tracer
             if tr.enabled:
                 # useful-work span for the single-threaded MPI baselines
                 # (repro.perf derives per-rank efficiency from these)
-                tr.span("proc", "compute", t0, self.engine.now,
-                        rank=self.mpi.rank)
+                tr.span("proc", "compute", t0, self._t, rank=self.mpi.rank)
+        yield from ()
 
     def isend(self, buf, dest: int, tag: int) -> Generator:
-        req = self.mpi.isend(buf, dest, tag)
-        yield from self._realize()
-        return req
+        yield from self.sync()
+        return self.mpi.isend(buf, dest, tag)
 
     def isend_batch(self, bufs, dest: int, tags) -> Generator:
-        """Issue ``len(bufs)`` sends to ``dest`` in one library entry and
-        realize the whole charge once (see :meth:`MPIRank.isend_batch`)."""
-        reqs = self.mpi.isend_batch(bufs, dest, tags)
-        yield from self._realize()
-        return reqs
+        """Issue ``len(bufs)`` sends to ``dest`` in one library entry
+        (see :meth:`MPIRank.isend_batch`)."""
+        yield from self.sync()
+        return self.mpi.isend_batch(bufs, dest, tags)
 
     def irecv(self, buf, source: int, tag: int) -> Generator:
-        req = self.mpi.irecv(buf, source, tag)
-        yield from self._realize()
-        return req
+        yield from self.sync()
+        return self.mpi.irecv(buf, source, tag)
 
     def wait(self, req: Request) -> Generator:
-        yield from self._realize()
-        yield from self.mpi.wait(req)
-        yield from self._realize()
+        yield from self._wait((req,), "wait")
 
     def waitall(self, reqs: Sequence[Request]) -> Generator:
-        yield from self._realize()
-        yield from self.mpi.waitall(reqs)
-        yield from self._realize()
+        yield from self._wait(reqs, "waitall")
+
+    def _wait(self, reqs: Sequence[Request], op: str) -> Generator:
+        mpi = self.mpi
+        if mpi._pending_sends:
+            # a rendezvous handshake is out: the progress engine's CTS
+            # handler shares the lock, so entry order has to be call order
+            yield from self.sync()
+        t0 = self.now
+        mpi.lock.enter(mpi._c_call, op, at=t0)
+        an = self.engine.analysis
+        for r in reqs:
+            if r.completed_at is None:  # nothing matched it yet: suspend
+                token = an.wait_enter(mpi.rank, "mpi_" + op, peer=r.peer,
+                                      tag=r.tag, kind=r.kind) if an.enabled else None
+                try:
+                    yield r.event
+                finally:
+                    if an.enabled:
+                        an.wait_exit(token)
+        tr = self.engine.tracer
+        for r in reqs:
+            if r.completed_at > t0:
+                self._t = max(self._t, r.completed_at)
+                if tr.enabled:
+                    tr.span("mpi", op + ".block", t0, r.completed_at,
+                            rank=mpi.rank, kind=r.kind, peer=r.peer,
+                            tag=r.tag, sent_at=r.sent_at)
 
     def barrier(self) -> Generator:
-        yield from self._realize()
+        yield from self.sync()
         yield from self.mpi.barrier()
-        yield from self._realize()
 
     def allreduce(self, value, op=np.add) -> Generator:
-        yield from self._realize()
-        result = yield from self.mpi.allreduce(value, op)
-        yield from self._realize()
-        return result
+        yield from self.sync()
+        return (yield from self.mpi.allreduce(value, op))

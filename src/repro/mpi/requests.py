@@ -1,16 +1,20 @@
 """MPI request objects.
 
-A :class:`Request` tracks one non-blocking operation. Internally completion
-is represented by a sim :class:`~repro.sim.events.Event` so blocking waiters
-(the MPI-only variants) can suspend on it, while pollers (TAMPI) cheaply
-check the :attr:`done` flag — mirroring how real completion is observable
-both from ``MPI_Wait`` and ``MPI_Test*``.
+A :class:`Request` tracks one non-blocking operation. Completion is a
+*timestamp*: :meth:`Request.complete_at` records ``completed_at`` and
+reserves the completion's ``(time, priority, seq)`` queue position, and
+:attr:`Request.done` — what pollers (TAMPI's ``MPI_Test*``) read — answers
+"would that event have fired by now". Only a waiter that suspends
+(``MPI_Wait``) asks for :meth:`Request.wait_event`, which queues the
+:class:`~repro.sim.events.Event` at exactly the reserved position, so a
+completion nobody awaits fires nothing (docs/performance.md).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from heapq import heappush
 from typing import Optional
 
 import numpy as np
@@ -48,6 +52,7 @@ class Request:
         "completed_at",
         "sent_at",
         "_payload",
+        "_seq",
     )
 
     def __init__(
@@ -81,23 +86,40 @@ class Request:
 
     @property
     def done(self) -> bool:
-        return self.state is RequestState.DONE
+        """True once the completion's reserved ``(completed_at, 0, seq)``
+        slot is at or before the event the engine is firing."""
+        if self.state is RequestState.DONE:
+            return True
+        when = self.completed_at
+        eng = self.engine
+        if when is None or when > eng._now or (
+                when == eng._now and self._seq > eng._fired_seq):
+            return False
+        self.state = RequestState.DONE
+        return True
 
     def complete_at(self, when: float) -> None:
         """Mark the request complete at absolute sim time ``when`` (>= now)."""
-        if self.state is RequestState.DONE:
+        if self.completed_at is not None:
             raise MPIError(f"request {self} completed twice")
-        delay = when - self.engine.now
-        if delay < 0:
-            delay = 0.0
+        eng = self.engine
+        delay = when - eng._now
         self.state = RequestState.IN_FLIGHT
-        self.completed_at = self.engine.now + delay
+        self.completed_at = eng._now + delay if delay > 0.0 else eng._now
+        eng._seq += 1
+        self._seq = eng._seq
+        if self.event.callbacks:  # somebody already suspended on it
+            self.wait_event()
 
-        def _finish(_ev: Event) -> None:
-            self.state = RequestState.DONE
-
-        self.event.add_callback(_finish)
-        self.event.succeed(self, delay=delay)
+    def wait_event(self) -> Event:
+        """The event a suspending waiter yields on; a known completion is
+        queued (once) at the position :meth:`complete_at` reserved."""
+        ev = self.event
+        if self.completed_at is not None and not ev._scheduled:
+            ev._ok = ev._scheduled = True
+            ev._value = self
+            heappush(self.engine._heap, (self.completed_at, 0, self._seq, ev))
+        return ev
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -38,13 +38,15 @@ class GlobalLock:
         self.wait_in_mpi = 0.0
         self.calls = 0
 
-    def enter(self, hold: float, op: str = "call") -> ServiceGrant:
+    def enter(self, hold: float, op: str = "call",
+              at: float | None = None) -> ServiceGrant:
         """Serialize one MPI call of duration ``hold``; charge the caller.
 
         ``op`` names the API entry for the trace timeline (isend, testsome,
-        …); the span covers wait + hold — per-call time inside MPI.
+        …); the span covers wait + hold — per-call time inside MPI. ``at``
+        is the caller's clock when it runs ahead of the engine's.
         """
-        grant = self.device.use(hold)
+        grant = self.device.use(hold, at)
         cost = grant.wait + hold
         self.time_in_mpi += cost
         self.wait_in_mpi += grant.wait
@@ -52,6 +54,6 @@ class GlobalLock:
         charge_current(self.engine, cost)
         tr = self.engine.tracer
         if tr.enabled:
-            now = self.engine.now
+            now = self.engine.now if at is None else at
             tr.span("mpi", op, now, grant.end, rank=self.rank, wait=grant.wait)
         return grant

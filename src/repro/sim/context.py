@@ -8,10 +8,10 @@ to whoever is currently executing: the engine holds a ``current_context``
 stand-alone rank driver processes) and substrates call
 :func:`charge_current`.
 
-Charges are *lazy*: they accumulate in the sink and are realized as a
-simulated-time delay by the executor after the current synchronous step —
-see :meth:`repro.tasking.scheduler.Worker` and
-:class:`repro.mpi.comm.MPIProcDriver`.
+Charges are *lazy*: they accumulate in the sink until the executor takes
+them — a :class:`repro.tasking.scheduler.Worker` as a simulated delay after
+the current synchronous step, a :class:`repro.mpi.comm.MPIProcDriver` into
+its local clock, which becomes an event only at its next ``sync()``.
 """
 
 from __future__ import annotations

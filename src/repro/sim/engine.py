@@ -89,6 +89,7 @@ class Engine:
         "_heap",
         "_lane",
         "_seq",
+        "_fired_seq",
         "_trace",
         "_running",
         "_stop",
@@ -113,6 +114,11 @@ class Engine:
         #: — property-tested), and its seq lives in ``event._lseq``.
         self._lane: deque = deque()
         self._seq: int = 0
+        #: seq of the last normal-priority event fired at ``now``: which
+        #: reserved positions are passed (``repro.mpi.requests.Request.done``).
+        #: An urgent event overtakes its instant's normal ones (slot kept, 0
+        #: at a new time); a low-priority one follows all queued so far
+        self._fired_seq: int = 0
         self._trace = trace
         self._running = False
         #: set by the ``run(until_done=...)`` watcher when the last watched
@@ -294,8 +300,14 @@ class Engine:
             raise SimulationError("step() on an empty event queue")
         if from_lane:
             event = self._lane.popleft()
+            self._fired_seq = event._lseq
         else:
-            self._now, _prio, _seq, event = heappop(self._heap)
+            t, prio, seq, event = heappop(self._heap)
+            if prio == 0:
+                self._fired_seq = seq
+            elif prio > 0 or t > self._now:
+                self._fired_seq = self._seq if prio > 0 else 0
+            self._now = t
         self._event_count += 1
         if self._observing():
             self._observe(self._now, event, self._event_count)
@@ -414,6 +426,7 @@ class Engine:
                 else:
                     if until is not None and until > self._now:
                         self._now = until
+                        self._fired_seq = self._seq
                     break
                 if entry is None:
                     event = popleft()
@@ -431,9 +444,16 @@ class Engine:
                     else:
                         heappush(heap, entry)
                     if t > limit:
+                        self._fired_seq = self._seq  # all slots <= limit passed
                         self._now = limit
                         break
                     raise self.budget_error(max_events)
+                if entry is None:
+                    self._fired_seq = event._lseq
+                elif entry[1] == 0:
+                    self._fired_seq = entry[2]
+                elif entry[1] > 0 or t > self._now:  # see _fired_seq
+                    self._fired_seq = self._seq if entry[1] > 0 else 0
                 self._now = t
                 fired += 1
                 if hook is not None:

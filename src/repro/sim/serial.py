@@ -27,7 +27,7 @@ from repro.sim.engine import Engine
 from repro.sim.resources import LockStats
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceGrant:
     """Outcome of :meth:`SerialDevice.use`."""
 
