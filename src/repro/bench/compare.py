@@ -33,11 +33,10 @@ DEFAULT_THRESHOLD = 0.15
 #: noisier suites get more slack: the sweep benchmark measures a process
 #: pool whose win depends on host load and core count, the nic
 #: batch-vs-scalar ratio swings with numpy dispatch overhead on the small
-#: quick-mode batches, the shard benchmark times forked worker processes
-#: with the same load/core-count sensitivity as sweep, and the
-#: gs/analysis/verify suites wall-time one full pass end to end (a single
-#: sample, so scheduler jitter lands on it undamped)
-SUITE_THRESHOLDS = {"sweep": 0.30, "nic": 0.35, "shard": 0.35, "gs": 0.25,
+#: quick-mode batches, and the gs/analysis/verify suites wall-time one
+#: full pass end to end (a single sample, so scheduler jitter lands on it
+#: undamped)
+SUITE_THRESHOLDS = {"sweep": 0.30, "nic": 0.35, "gs": 0.25,
                     "analysis": 0.25, "verify": 0.25}
 
 

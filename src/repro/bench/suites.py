@@ -45,16 +45,10 @@ Seven benchmarks, each emitting one ``BENCH_<name>.json``:
     axis. The ``speedup`` ratio is deterministic (simulated seconds, not
     wall), so the regression gate on it is exact.
 
-``shard``
-    The sharded conservative-time engine (docs/sharding.md) against the
-    serial engine on a large MPI-only Gauss–Seidel job: wall time of both
-    paths at 4 shards (2 in quick mode), with sharded-vs-serial
-    bit-identity asserted *untimed* in the same run. Full mode adds a
-    256-node × 48-rank (12288-rank) fig09-style completion point. The
-    ``shard_speedup`` ratio is wall-clock and needs at least as many free
-    cores as shards to show a win (``cpus`` is recorded alongside); the
-    gate metric is the serial path's rank-steps/s, which tracks host
-    speed like every other wall metric here.
+``verify``
+    Files/s of the CFG/dataflow protocol verifier over the CI-gated trees,
+    asserting on the fly that they are clean and that every seeded example
+    under ``examples/static/`` is flagged.
 
 Methodology, applied uniformly: all object construction happens *outside*
 the timed region; every timed region is repeated ``reps`` times and the
@@ -675,102 +669,3 @@ def bench_collectives(quick: bool = False) -> dict:
         "wall_s": wall,
         "quick": quick,
     }
-
-
-# ----------------------------------------------------------------------
-# shard (conservative-time sharded engine, repro.sim.shard)
-# ----------------------------------------------------------------------
-@_register
-def bench_shard(quick: bool = False) -> dict:
-    """Sharded engine vs the serial engine on one big Gauss–Seidel job.
-
-    Times the identical ``variant="mpi"`` job twice — once on the single
-    engine, once partitioned across shards — and asserts the two runs are
-    bit-identical (simulated time and every scalar metric) before any
-    timing is reported, so a wall-clock win can never mask a correctness
-    drift. Full mode uses a 1024-rank job at 4 shards and additionally
-    completes a 12288-rank (256 nodes x 48 cores, the paper's Marenostrum
-    scale) point under the sharded engine alone.
-
-    ``shard_speedup`` is real parallelism across forked workers: on a
-    host with fewer free cores than shards it will sit at or below 1.
-    """
-    import dataclasses
-
-    from repro.apps.gauss_seidel.common import GSParams
-    from repro.apps.gauss_seidel.runner import run_gauss_seidel
-    from repro.harness.machines import MARENOSTRUM4
-    from repro.harness.runner import JobSpec
-
-    if quick:
-        machine = MARENOSTRUM4.with_cores(4)
-        n_nodes, shards = 16, 2           # 64 ranks
-        params = GSParams(rows=128, cols=64, timesteps=3, block_size=32,
-                          compute_data=False)
-    else:
-        machine = MARENOSTRUM4.with_cores(16)
-        n_nodes, shards = 64, 4           # 1024 ranks
-        params = GSParams(rows=2048, cols=64, timesteps=4, block_size=32,
-                          compute_data=False)
-    spec = JobSpec(machine=machine, n_nodes=n_nodes, variant="mpi", seed=11)
-
-    def _snap(res):
-        scalars = tuple(sorted((k, v) for k, v in res.extra.items()
-                               if isinstance(v, (int, float))))
-        return (res.sim_time, res.throughput, scalars)
-
-    gc.collect()
-    t0 = time.perf_counter()
-    serial = run_gauss_seidel(spec, params)
-    serial_wall = time.perf_counter() - t0
-
-    sharded_spec = dataclasses.replace(spec, shards=shards)
-    t0 = time.perf_counter()
-    sharded = run_gauss_seidel(sharded_spec, params)
-    sharded_wall = time.perf_counter() - t0
-
-    # untimed bit-identity gate: a fast sharded run that drifted is a bug,
-    # not a result
-    if _snap(serial) != _snap(sharded):
-        raise RuntimeError(
-            "bench_shard: sharded run diverged from the serial engine")
-
-    n_ranks = n_nodes * machine.cores_per_node
-    payload = {
-        "name": "shard",
-        "unit": "rank-steps/s (serial)",
-        "n_nodes": n_nodes,
-        "cores_per_node": machine.cores_per_node,
-        "n_ranks": n_ranks,
-        "shards": shards,
-        "rows": params.rows,
-        "cols": params.cols,
-        "timesteps": params.timesteps,
-        "cpus": os.cpu_count(),
-        "serial_wall_s": serial_wall,
-        "sharded_wall_s": sharded_wall,
-        "shard_speedup": serial_wall / sharded_wall,
-        "identical": True,
-        "sim_time_s": serial.sim_time,
-        "throughput": n_ranks * params.timesteps / serial_wall,
-        "quick": quick,
-    }
-
-    if not quick:
-        # the paper's Marenostrum-scale point: completion + sanity only
-        # (a serial twin at this size is what the sharded engine exists
-        # to avoid; bit-identity is pinned by the reduced configs above)
-        big_machine = MARENOSTRUM4  # 48 cores/node
-        big = JobSpec(machine=big_machine, n_nodes=256, variant="mpi",
-                      seed=11, shards=4)
-        big_params = GSParams(rows=24576, cols=32, timesteps=2,
-                              block_size=32, compute_data=False)
-        t0 = time.perf_counter()
-        big_res = run_gauss_seidel(big, big_params)
-        payload.update({
-            "fig09_n_ranks": 256 * 48,
-            "fig09_wall_s": time.perf_counter() - t0,
-            "fig09_sim_time_s": big_res.sim_time,
-            "fig09_messages": big_res.extra.get("messages"),
-        })
-    return payload

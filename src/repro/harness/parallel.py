@@ -68,11 +68,6 @@ def canonicalize(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out: Dict[str, Any] = {"__dataclass__": type(obj).__name__}
         for f in dataclasses.fields(obj):
-            # fields marked cache_key=False (e.g. JobSpec.shards) cannot
-            # change results — bit-identity contract — so they must not
-            # split the cache
-            if f.metadata.get("cache_key") is False:
-                continue
             out[f.name] = canonicalize(getattr(obj, f.name))
         return out
     if isinstance(obj, dict):

@@ -14,7 +14,7 @@ Rank layouts follow the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -79,14 +79,6 @@ class JobSpec:
     #: under the pure-``mpi`` variant so notification pipelines are
     #: available to single-threaded rank processes.
     backend: Optional[str] = None
-    #: shard the job across N OS processes with conservative time windows
-    #: (repro.sim.shard). ``None`` follows the ``REPRO_SHARDS``
-    #: environment variable; ineligible configs (hybrid variants, tracing,
-    #: checks, faults, perf) silently run on the single engine. Sharded
-    #: results are bit-identical to serial ones, so the field is excluded
-    #: from result-cache keys (``cache_key=False`` metadata).
-    shards: Optional[int] = field(default=None,
-                                  metadata={"cache_key": False})
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:

@@ -235,18 +235,11 @@ def send_batch(cluster, msgs: Sequence[Message],
     w_list = wire_arrive.tolist()
     ser_list = ser.tolist()
     done_list = ends.tolist()
-    owner = cluster.shard_owner
-    if owner is not None and owner[dst_node] != cluster.shard_id:
-        out = cluster.outbox
-        for i, m in enumerate(msgs):
-            out.append((w_list[i], src_node, cnt + i, ser_list[i], m,
-                        done_list[i]))
-    else:
-        node = cluster.nodes[dst_node]
-        pending = node.pending
-        for i, m in enumerate(msgs):
-            heappush(pending, (w_list[i], src_node, cnt + i, ser_list[i],
-                               m, done_list[i]))
-        if n and w_list[0] < node.wake_time:
-            cluster._arm_wake(node, w_list[0])
+    node = cluster.nodes[dst_node]
+    pending = node.pending
+    for i, m in enumerate(msgs):
+        heappush(pending, (w_list[i], src_node, cnt + i, ser_list[i],
+                           m, done_list[i]))
+    if n and w_list[0] < node.wake_time:
+        cluster._arm_wake(node, w_list[0])
     return local_done

@@ -16,13 +16,15 @@ copy bandwidth.
 The ingress NIC is *receiver-ordered*: the sender only computes the wire
 arrival time and enqueues a timestamped record on the destination node's
 ``pending`` heap; a per-node wake event fires at the earliest pending
-arrival and grants the ingress device in global ``(wire_arrive, src_node,
-send#)`` order. That order is a pure function of the record set — it does
-not depend on which engine (or which *shard*, see :mod:`repro.sim.shard`)
-executes the sends — which is what makes sharded runs bit-identical to the
-single-engine path. Records addressed to a node owned by another shard are
-diverted to ``outbox`` and merged into the owner's heap at the next
-conservative-window barrier.
+arrival and grants the ingress device in ``(wire_arrive, src_node,
+send#)`` order. That order is a pure function of the record set, not of
+the order in which the host program happens to execute the sends, so
+arrivals from different senders that land on the same instant are
+arbitrated by source node and send count rather than by engine
+insertion order. It is part of the model: the pinned end-to-end results
+(``benchmarks/e2e/golden.json``) depend on it, and so do the two other
+determinism rules below — per-source-node jitter streams and per-node
+transit-time partial sums. Changing any of them moves simulated time.
 
 Delivery order is forced to be monotone per (src_rank, dst_rank) even under
 jitter — a strictly stronger guarantee than GASPI's per-(queue, target)
@@ -76,9 +78,9 @@ class Node:
     device; ``wake_ev``/``wake_time`` track the single scheduled drain wake
     (at the heap head's arrival time). ``out_cnt`` is this node's monotone
     *send* counter (stamped into outgoing records as the tiebreaker), and
-    ``transit_time`` is this node's share of the cluster transit-time sum —
-    kept per node so serial and sharded runs accumulate the float total in
-    the same (node-order) sequence.
+    ``transit_time`` is this node's share of the cluster transit-time sum,
+    accumulated in this node's delivery order; :attr:`Cluster.stats` adds
+    the partials in node order, which fixes the float total's rounding.
     """
 
     __slots__ = ("node_id", "egress", "ingress", "pending", "wake_ev",
@@ -125,13 +127,10 @@ class Cluster:
         self.rng = rng
         # One jitter stream per *source node*, spawned deterministically
         # from the seed stream: a node's draws then depend only on its own
-        # send order, which every shard partition reproduces exactly.
+        # send order, never on how other nodes' sends interleave with it.
         self._jitter_rngs = None if rng is None else rng.spawn(n_nodes)
         self.nodes: List[Node] = [Node(engine, i) for i in range(n_nodes)]
         self._stats = NetworkStats()
-        #: conservative-sync lookahead: no wire record can arrive sooner
-        #: than this after its injection (egress + jitter only add to it)
-        self.lookahead = fabric.base_latency(intra=False)
         self._rank_node: Dict[int, int] = {}
         self._endpoints: Dict[Tuple[int, str], DeliveryHandler] = {}
         # last scheduled delivery time per (src_rank, dst_rank): FIFO guard
@@ -140,11 +139,6 @@ class Cluster:
         # that keeps the channel FIFO under jitter before records are
         # enqueued (receiver-side drains then see monotone channels)
         self._wire_clock: Dict[Tuple[int, int], float] = {}
-        # sharding (configured by repro.sim.shard; None = unsharded, every
-        # node is local and outbox stays empty)
-        self.shard_id = 0
-        self.shard_owner: Optional[List[int]] = None
-        self.outbox: List[WireRecord] = []
         #: installed by repro.faults.FaultInjector.install(); None = perfect
         #: fabric, and send() takes the original zero-overhead path
         self.injector = None
@@ -165,10 +159,9 @@ class Cluster:
         """Aggregate transport statistics.
 
         Counters live in ``_stats``; transit time is accumulated per
-        *destination node* and summed here in node order, so the float
-        total is identical whether one engine or several shards ran the
-        nodes (each node's partial is produced by exactly one shard, in
-        the same per-node accumulation order).
+        *destination node* and summed here in node order. That summation
+        order is part of the model: a single running total in global
+        delivery order would round differently.
         """
         st = self._stats
         total = st.total_transit_time
@@ -181,44 +174,6 @@ class Cluster:
             intra_messages=st.intra_messages,
             total_transit_time=total,
         )
-
-    # ------------------------------------------------------------------
-    # sharding (repro.sim.shard)
-    # ------------------------------------------------------------------
-    def configure_sharding(self, shard_owner: List[int], shard_id: int) -> None:
-        """Mark this cluster as one shard of a partitioned run.
-
-        ``shard_owner[node_id]`` names the shard that executes that node's
-        ranks and drains its ingress. Wire records addressed to a foreign
-        node are appended to ``outbox`` instead of the local pending heap;
-        the coordinator ships them to the owner at the next window barrier
-        via :meth:`inject_arrivals`.
-        """
-        if len(shard_owner) != len(self.nodes):
-            raise SimulationError(
-                f"shard_owner has {len(shard_owner)} entries for "
-                f"{len(self.nodes)} nodes"
-            )
-        self.shard_owner = list(shard_owner)
-        self.shard_id = shard_id
-
-    def take_outbox(self) -> List[WireRecord]:
-        """Drain and return the cross-shard records produced so far."""
-        out, self.outbox = self.outbox, []
-        return out
-
-    def inject_arrivals(self, records: List[WireRecord]) -> None:
-        """Merge wire records produced by other shards.
-
-        Records must carry arrival times ``>= engine.now`` (the window
-        protocol guarantees ``>= T_end`` of the window about to run).
-        """
-        for rec in records:
-            dst_node = self.node_of(rec[4].dst_rank)
-            node = self.nodes[dst_node]
-            heappush(node.pending, rec)
-            if rec[0] < node.wake_time:
-                self._arm_wake(node, rec[0])
 
     # ------------------------------------------------------------------
     # placement
@@ -365,24 +320,16 @@ class Cluster:
         self._wire_clock[chan] = wire_arrive
         cnt = src.out_cnt
         src.out_cnt = cnt + 1
-        self._enqueue_record(
-            dst_node, (wire_arrive, src_node, cnt, ser, msg, local_done)
-        )
+        node = self.nodes[dst_node]
+        heappush(node.pending,
+                 (wire_arrive, src_node, cnt, ser, msg, local_done))
+        if wire_arrive < node.wake_time:
+            self._arm_wake(node, wire_arrive)
         return local_done
 
     # ------------------------------------------------------------------
     # receiver-ordered ingress
     # ------------------------------------------------------------------
-    def _enqueue_record(self, dst_node: int, rec: WireRecord) -> None:
-        owner = self.shard_owner
-        if owner is not None and owner[dst_node] != self.shard_id:
-            self.outbox.append(rec)
-            return
-        node = self.nodes[dst_node]
-        heappush(node.pending, rec)
-        if rec[0] < node.wake_time:
-            self._arm_wake(node, rec[0])
-
     def _arm_wake(self, node: Node, w: float) -> None:
         """(Re)schedule ``node``'s drain wake at arrival time ``w``."""
         old = node.wake_ev
@@ -409,12 +356,12 @@ class Cluster:
         """Grant the ingress NIC to every record that has reached the wire.
 
         Runs at the pending heap head's exact arrival time and pops
-        strictly ``wire_arrive <= now`` — never further, even though the
-        lookahead bounds future arrivals: draining ahead of the clock
-        would let one shard's grant scan run ahead of records another
-        shard has yet to publish. Popping in heap order makes the global
-        ingress grant sequence ``(wire_arrive, src_node, send#)``-sorted,
-        a pure function of the record set.
+        strictly ``wire_arrive <= now``: a send that executes later may
+        still enqueue a record arriving before one already pending, so
+        draining ahead of the clock would grant out of order. Popping in
+        heap order makes the ingress grant sequence ``(wire_arrive,
+        src_node, send#)``-sorted, a pure function of the record set
+        rather than of the order the sends executed in.
         """
         eng = self.engine
         now = eng.now
@@ -673,7 +620,7 @@ class Cluster:
         # Lognormal noise scaled to the base latency; mean ≈ 0 shift so the
         # configured latency stays the central value. Drawn from the source
         # node's own spawned stream: the draw sequence then depends only on
-        # that node's send order, which is shard-partition-invariant.
+        # that node's send order, so traffic elsewhere never shifts it.
         base = self.fabric.latency
         sigma = rel
         sample = rngs[src_node].lognormal(mean=0.0, sigma=sigma)

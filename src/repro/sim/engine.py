@@ -40,7 +40,6 @@ unless something can actually emit per event — so a traced, checked or
 from __future__ import annotations
 
 from collections import deque
-import math
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
@@ -208,9 +207,10 @@ class Engine:
             heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def _diagnose_batch(self, arr: "np.ndarray") -> str:
-        """Name the first offending index of a rejected batch (shard-
-        boundary batches are built far from where they are scheduled, so
-        "times must be ..." alone is undebuggable)."""
+        """Name the first offending index of a rejected batch (a wire
+        drain builds its batch from records other senders queued, far from
+        where the times were computed, so "times must be ..." alone is
+        undebuggable)."""
         size = f"(batch of {arr.shape[0]})"
         finite = np.isfinite(arr)
         if not finite.all():
@@ -259,9 +259,10 @@ class Engine:
 
         Unlike ``schedule(event, delay=t - now)``, no ``now + (t - now)``
         float round-trip happens: the event fires at the bit-exact ``t``
-        the caller computed. The receiver-ordered wire path and the shard
-        coordinator depend on this — the same arrival record must fire at
-        the same float time no matter which engine ("now") schedules it.
+        the caller computed. The receiver-ordered wire path and the lazy
+        MPI clock depend on this — a wire record or a rank-local sum must
+        fire at the float time it carries, whatever ``now`` was when it
+        got scheduled.
         """
         # Single comparison rejects past, inf, and NaN times.
         if not self._now <= t < _INF:
@@ -477,28 +478,6 @@ class Engine:
             self._event_count += fired
             self._running = self._stop = False
             live[0] = 0  # watchers an aborted run leaves behind are inert
-
-    def run_window(self, until: float,
-                   max_events: Optional[int] = None) -> float:
-        """Fire every event with time *strictly less than* ``until``; the
-        clock never reaches ``until``.
-
-        This is the conservative-window primitive the shard coordinator
-        uses: a worker granted the window ``[lbts, t_end)`` must fire
-        exactly the events below ``t_end`` and must *not* let its clock
-        touch ``t_end`` (arrival records merged at the barrier are
-        scheduled at absolute times ``>= t_end``, which ``schedule_at`` /
-        ``schedule_batch`` validate against ``now``).
-
-        Implemented on top of :meth:`run`: ``run(until=L)`` is inclusive of
-        ``t == L``, so the window runs to ``nextafter(until, -inf)`` — the
-        largest float below ``until`` — making ``t <= L`` equivalent to
-        ``t < until`` exactly. ``now`` lands on that (sub-``until``) limit.
-        """
-        if not until > self._now:
-            return self._now
-        return self.run(until=math.nextafter(until, -_INF),
-                        max_events=max_events)
 
     def run_until_complete(self, process: "Process", max_events: Optional[int] = None) -> object:
         """Run until ``process`` terminates; return its value or re-raise its

@@ -223,8 +223,9 @@ class TestPerfDeterminism:
 
 class TestCollectiveBackendDeterminism:
     """The collectives subsystem joins the repo-wide contract: every
-    backend is pure in (spec, params), bit-identical between serial and
-    sharded sweeps, and pure in (plan, seed) under fault injection."""
+    backend is pure in (spec, params), bit-identical between a serial
+    sweep and one spread over two worker processes, and pure in
+    (plan, seed) under fault injection."""
 
     def _params(self):
         from repro.apps.cg import CGParams
@@ -251,9 +252,9 @@ class TestCollectiveBackendDeterminism:
                                 variants=("mpi",), workers=workers,
                                 backend=["twosided", "rma", "gaspi"])
 
-        serial, sharded = sweep(1), sweep(2)
+        serial, pooled = sweep(1), sweep(2)
         for key, res in serial["mpi"].items():
-            other = sharded["mpi"][key]
+            other = pooled["mpi"][key]
             assert res.sim_time == other.sim_time
             assert res.extra["residual"] == other.extra["residual"]
 

@@ -8,9 +8,7 @@ every job here runs once on the product path and once with the pre-change
 classes of tests/reference/eager_mpi.py swapped in (test-only monkeypatch,
 there is no product switch), and the two ``VariantResult``s must be
 byte-identical — every ``extra`` key, observers on or off — while the lazy
-side fires fewer events. CI runs this file under ``REPRO_SHARDS=2`` as
-well, where the plain gs-mpi jobs go through the sharded coordinator (the
-forked workers inherit the swap). Below the job-level cases: exact
+side fires fewer events. Below the job-level cases: exact
 ``event_count`` pins, and a hypothesis replay of ``Request.done`` /
 ``wait_event`` against the eager ``Request`` on a bare engine.
 """
@@ -119,9 +117,7 @@ def _both(app, seed, **kw):
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_result_identical_to_eager_oracle(app, observe, seed):
     _, n_lazy, n_eager = _both(app, seed, **OBSERVERS[observe])
-    # sharded workers keep their own engines; the serial ones must shed
-    if n_lazy or n_eager:
-        assert n_lazy < n_eager
+    assert n_lazy < n_eager
 
 
 def _records(tracer):
@@ -163,16 +159,10 @@ def test_faulted_rendezvous_retry(seed):
     assert res.extra["fault_rendezvous_retries"] > 0
 
 
-@pytest.mark.parametrize("seed", [None, 1])
-@pytest.mark.parametrize("app", ["gs-mpi", "streaming-rendezvous"])
-def test_sharded_identical_to_eager_oracle(app, seed):
-    _both(app, seed, n_nodes=4, shards=2)
-
-
 # --------------------------------------------------------------------------
 # event-count pins: golden.json deliberately pins no event counts, so a
 # regression that brings the per-call timeouts back would pass everything
-# else. One small serial job per driver-using app, unseeded (deterministic).
+# else. One small job per driver-using app, unseeded (deterministic).
 # --------------------------------------------------------------------------
 #: app -> events fired (on the eager oracle: 1259, 256, 4262, 1930, 5667, 5174)
 EVENT_PINS = {
@@ -187,7 +177,7 @@ EVENT_PINS = {
 
 @pytest.mark.parametrize("app", sorted(EVENT_PINS))
 def test_event_count_pin(app):
-    _, fired = _run(app, None, shards=0)
+    _, fired = _run(app, None)
     assert fired == EVENT_PINS[app]
 
 

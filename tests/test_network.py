@@ -1,8 +1,13 @@
 """Unit tests for fabrics, topology, and message transport."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.apps.gauss_seidel.common import GSParams
+from repro.apps.gauss_seidel.runner import run_gauss_seidel
+from repro.harness import JobSpec, MARENOSTRUM4
 from repro.sim import Engine, SimulationError
 from repro.network import Cluster, Fabric, Message, OMNIPATH, INFINIBAND, scaled_fabric
 
@@ -215,6 +220,41 @@ class TestTransport:
         eng.run()
         assert out[0] == pytest.approx(1e-6)  # pure alpha
 
+    def test_same_instant_ingress_is_receiver_ordered(self):
+        """Arrivals from several source nodes that reach one destination
+        node at the same instant are granted its ingress NIC in
+        ``(wire_arrive, src_node, send#)`` order, whatever order the sends
+        were issued in; transit time is summed per node, in node order."""
+        ser = 1000 / 1e9
+        # kind -> (src_rank, nbytes, depart_delay): node 0's zero-byte
+        # sends leave at `ser`, nodes 1 and 2 finish a 1000-byte egress at
+        # `ser`, so all five reach node 3 at exactly ser + latency
+        sends = {"a": (0, 0, ser), "b": (1, 0, ser), "c": (0, 0, ser),
+                 "d": (2, 1000, 0.0), "e": (4, 1000, 0.0)}
+        w = ser + 1e-6
+        for order in itertools.permutations(sends):
+            eng, cl = self._mk(nodes=4, ranks_per_node=2)
+            got = []
+            cl.register_endpoint(6, "t", got.append)
+            cl.register_endpoint(0, "t", lambda m: None)
+            for kind in order:
+                src, nbytes, delay = sends[kind]
+                cl.send(Message(src, 6, "t", kind, nbytes), depart_delay=delay)
+            back = Message(6, 0, "t", "back", 1000)
+            cl.send(back)
+            eng.run()
+            # node 0's send# is its own call order; then nodes 1 and 2
+            node0 = [k for k in order if cl.node_of(sends[k][0]) == 0]
+            assert [m.kind for m in got] == node0 + ["d", "e"], order
+            assert ([m.delivered_at for m in got]
+                    == [w, w, w, w + ser, w + ser + ser])
+            p3 = 0.0
+            for m in got:
+                p3 += m.delivered_at - m.injected_at
+            p0 = 0.0 + (back.delivered_at - back.injected_at)
+            assert cl.nodes[3].transit_time == p3
+            assert cl.stats.total_transit_time == 0.0 + p0 + 0.0 + 0.0 + p3
+
 
 class TestBatchWirePath:
     """The vectorized wire path (repro.network.batch) must be observably
@@ -331,3 +371,63 @@ class TestBatchWirePath:
         sdone = np.asarray([scalar_cl.send(m, 1e-3) for m in smsgs])
         assert done.tolist() == sdone.tolist()
         assert all(m.injected_at == 1e-3 for m in msgs)
+
+
+MACH4 = MARENOSTRUM4.with_cores(4)
+
+
+def _snap(res):
+    """Full numeric snapshot of a run — byte-identical means equal here."""
+    scalars = tuple(sorted(
+        (k, v) for k, v in res.extra.items() if isinstance(v, (int, float))))
+    return (res.sim_time, res.throughput, scalars)
+
+
+def _spec(n_nodes=6, seed=3, **kw):
+    kw.setdefault("variant", "mpi")
+    return JobSpec(machine=MACH4, n_nodes=n_nodes, seed=seed, **kw)
+
+
+def _params(**kw):
+    base = dict(rows=48, cols=32, timesteps=3, block_size=8,
+                compute_data=False)
+    base.update(kw)
+    return GSParams(**base)
+
+
+class TestWireBatchToggle:
+    """App send loops routed through ``Cluster.send_batch`` must be
+    bit-identical to the per-message ``Cluster.send`` path (the toggle is
+    a test-side patch of ``send_batch``, not a product switch)."""
+
+    def _run_both(self, monkeypatch, fn):
+        import numpy as np
+
+        from repro.network import Cluster
+
+        def scalar_send_batch(cluster, msgs, depart_delay=0.0):
+            delays = np.broadcast_to(np.asarray(depart_delay, dtype=float),
+                                     (len(msgs),))
+            return np.array([cluster.send(m, float(d))
+                             for m, d in zip(msgs, delays)])
+
+        batched = fn()
+        monkeypatch.setattr(Cluster, "send_batch", scalar_send_batch)
+        return batched, fn()
+
+    def test_gs_halo_exchange(self, monkeypatch):
+        spec = _spec(n_nodes=4)
+        params = _params(compute_data=True, timesteps=2)
+        a, b = self._run_both(
+            monkeypatch, lambda: _snap(run_gauss_seidel(spec, params)))
+        assert a == b
+
+    def test_streaming_writer(self, monkeypatch):
+        from repro.apps.streaming import StreamingParams, run_streaming
+
+        spec = _spec(n_nodes=3)
+        params = StreamingParams(chunks=3, elements_per_chunk=512,
+                                 block_size=128)
+        a, b = self._run_both(
+            monkeypatch, lambda: _snap(run_streaming(spec, params)))
+        assert a == b

@@ -78,6 +78,27 @@ class TestCacheKey:
                 != cache_key(run_gauss_seidel, _spec(), PARAMS,
                              {"collect_grid": True}))
 
+    def test_digests_pinned(self):
+        """Keys of existing ``.repro_cache/`` entries stay valid: any edit
+        to ``canonicalize`` or to the spec dataclasses that moves a digest
+        orphans every cached point."""
+        from repro.apps.cg import CGParams, run_cg
+
+        mach = MARENOSTRUM4.with_cores(4)
+        gs = GSParams(rows=48, cols=32, timesteps=3, block_size=8,
+                      compute_data=False)
+        plain = JobSpec(machine=mach, n_nodes=2, variant="tagaspi")
+        faulted = JobSpec(machine=mach, n_nodes=2, variant="mpi", seed=7,
+                          faults=FaultPlan(drop_prob=0.05, dup_prob=0.01))
+        cg = JobSpec(machine=mach, n_nodes=2, variant="mpi", backend="rma")
+        cg_params = CGParams(n=64, iterations=3, compute_data=False)
+        assert cache_key(run_gauss_seidel, plain, gs, {}) == (
+            "d195d80edb25ec6d3574d2c1284f9fb350956347bfe6f073db1acc71f69e44b0")
+        assert cache_key(run_gauss_seidel, faulted, gs, {}) == (
+            "2ceba24f0c21deb8f4c85b62cda58b028ecd9ce20281b096dac6ccaed338d3dd")
+        assert cache_key(run_cg, cg, cg_params, {}) == (
+            "52a2b39f2af30dad62ce6ff65de86e0d5120c71ed629721e028a65c9b4dde7ae")
+
 
 class TestSerialParallelDeterminism:
     def test_parallel_results_identical_to_serial(self):

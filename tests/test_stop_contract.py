@@ -105,9 +105,7 @@ def _run_app(monkeypatch, engine_cls, job_run, shape, observe):
 
     monkeypatch.setattr("repro.harness.runner.Engine", engine_cls)
     monkeypatch.setattr(Job, "run", recording_run)
-    # shards=0: stay on the single engine under REPRO_SHARDS too
-    spec = JobSpec(n_nodes=2, seed=1, shards=0, **spec_kw,
-                   **OBSERVERS[observe])
+    spec = JobSpec(n_nodes=2, seed=1, **spec_kw, **OBSERVERS[observe])
     result = runner(spec, params)
     return states, dataclasses.asdict(result)
 
@@ -166,7 +164,7 @@ def _ticking_job(engine_cls, traced=False, ticks=5, trailing=3):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.harness.runner.Engine", engine_cls)
         job = build_job(
-            JobSpec(machine=_MN4, n_nodes=1, variant="mpi", shards=0),
+            JobSpec(machine=_MN4, n_nodes=1, variant="mpi"),
             tracer=Tracer(progress_every=None) if traced else None)
     eng = job.engine
     assert eng._observing() == (engine_cls is not Engine)
@@ -358,7 +356,7 @@ def test_engine_records_identical_under_run_and_step_driver(monkeypatch):
     def exported(driver):
         monkeypatch.setattr(Job, "run", drivers[driver])
         tracer = Tracer(engine_events=True, progress_every=7)
-        result = runner(JobSpec(n_nodes=2, seed=1, shards=0, **spec_kw),
+        result = runner(JobSpec(n_nodes=2, seed=1, **spec_kw),
                         params, tracer=tracer)
         sim = [r.name for r in tracer.records if r.category == "sim"]
         assert "progress" in sim and "Timeout" in sim
