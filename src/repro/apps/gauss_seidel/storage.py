@@ -49,15 +49,12 @@ class RankStorage:
             self._first_row = self._boundary[:cols]
             self._last_row = self._boundary[cols:]
 
+        # the first rank's top halo and the last rank's bottom halo hold the
+        # fixed global boundaries (params.top_boundary above, zeros below)
         self.halo_top = np.zeros(cols)
         self.halo_bottom = np.zeros(cols)
-        # fixed global boundaries
-        self.top_boundary = np.full(cols, params.top_boundary)
-        self.bottom_boundary = np.zeros(cols)
         if rank == 0:
-            self.halo_top[:] = self.top_boundary
-        if rank == n_ranks - 1:
-            self.halo_bottom[:] = self.bottom_boundary
+            self.halo_top[:] = params.top_boundary
         self.side_zeros = np.zeros(max(self.local_rows, 1))
 
     # -- boundary-row views (message sources) ---------------------------

@@ -16,9 +16,14 @@ the walk, which used to be O(queue depth) per operation:
   fully-specified receive or an arriving message resolves in O(1) by
   looking at (at most four) bucket heads and taking the lowest posting
   sequence number.
-* Wildcard receives (``ANY_SOURCE`` / ``ANY_TAG``) fall back to a global
-  arrival-ordered list with sequence numbers and lazy deletion, so they
-  see exactly the arrival order a linear walk would.
+* Unexpected messages live in one insertion-ordered ``dict`` mapping an
+  arrival sequence number to the message; each ``(source, tag)`` bucket
+  holds the arrival seqs of its messages. A match pops the seq from its
+  bucket and the message from the dict, both O(1), so the queue holds
+  exactly the live unexpected messages: a matched message (and its
+  payload copy) is released the moment it is received. Wildcard receives
+  (``ANY_SOURCE`` / ``ANY_TAG``) walk the dict's values, which is exactly
+  the arrival order a linear walk would see.
 * :class:`LinearMatchingEngine` keeps the original O(n) deque walk as the
   differential-testing oracle (tests/test_properties.py) and as the
   baseline ``python -m repro.bench`` measures the indexed engine against.
@@ -31,10 +36,11 @@ FIFO equivalence argument (property-tested against the oracle):
   posting-sequence among the ≤4 candidate bucket heads.
 * *post_recv → unexpected*: for a fully-specified receive, every matching
   message lives in exactly the ``(source, tag)`` bucket, FIFO by arrival —
-  the head is the earliest match. For a wildcard receive, the global
-  arrival list is walked in order; the first live match found is also its
-  own bucket's head (any earlier entry of that bucket would have matched
-  first), so bucket removal stays O(1).
+  the head is the earliest match. For a wildcard receive, the arrival dict
+  is walked in arrival order; the first match found is also its own
+  bucket's head, because any earlier message of that bucket has the same
+  ``(source, tag)``, would have matched too, and precedes it in the walk.
+  So the match still pops its bucket's head in O(1).
 """
 
 from __future__ import annotations
@@ -54,16 +60,11 @@ def _req_matches_msg(req: Request, msg: Message) -> bool:
     return req.tag in (ANY_TAG, tag)
 
 
-#: compact the wildcard arrival list when at least this many corpses have
-#: accumulated *and* they make up half the list
-_COMPACT_MIN_DEAD = 32
-
-
 class MatchingEngine:
     """Per-rank posted/unexpected queues, indexed by ``(source, tag)``."""
 
     __slots__ = ("_posted", "_post_seq", "_posted_len", "_wild_posted",
-                 "_unexpected", "_arrivals", "_dead")
+                 "_unexpected", "_arrivals", "_arrival_seq")
 
     def __init__(self) -> None:
         #: (source, tag) -> deque[(post_seq, Request)]; wildcard receives
@@ -74,13 +75,12 @@ class MatchingEngine:
         #: posted receives currently queued under a wildcard key — when
         #: zero, arriving messages probe a single bucket instead of four
         self._wild_posted = 0
-        #: (source, tag) -> deque of live entries ``[message, alive]``
-        self._unexpected: Dict[Tuple[int, int], Deque] = {}
-        #: every unexpected entry in arrival order (wildcard fallback);
-        #: entries matched through the bucket path are flagged dead and
-        #: discarded lazily
-        self._arrivals: Deque = deque()
-        self._dead = 0
+        #: (source, tag) -> deque of arrival seqs, FIFO by arrival
+        self._unexpected: Dict[Tuple[int, int], Deque[int]] = {}
+        #: arrival seq -> message for every live unexpected message, in
+        #: arrival order (the wildcard walk)
+        self._arrivals: Dict[int, Message] = {}
+        self._arrival_seq = 0
 
     # -- receiver side -------------------------------------------------
     def post_recv(self, req: Request) -> Optional[Message]:
@@ -90,21 +90,17 @@ class MatchingEngine:
         if peer != ANY_SOURCE and tag != ANY_TAG:
             bucket = self._unexpected.get((peer, tag))
             if bucket:
-                return self._consume_unexpected((peer, tag), bucket[0])
+                return self._consume_unexpected((peer, tag), bucket)
         else:
-            arrivals = self._arrivals
-            while arrivals and not arrivals[0][1]:
-                arrivals.popleft()
-                self._dead -= 1
-            for entry in arrivals:
-                if not entry[1]:
-                    continue
-                msg = entry[0]
+            for msg in self._arrivals.values():
                 if (peer == ANY_SOURCE or peer == msg.src_rank):
                     mtag = msg.meta["tag"]
                     if tag == ANY_TAG or tag == mtag:
-                        return self._consume_unexpected(
-                            (msg.src_rank, mtag), entry)
+                        key = (msg.src_rank, mtag)
+                        head = self._consume_unexpected(
+                            key, self._unexpected[key])
+                        assert head is msg, "match must be its bucket's head"
+                        return head
         self._post_seq += 1
         key = (peer, tag)
         bucket = self._posted.get(key)
@@ -116,21 +112,14 @@ class MatchingEngine:
             self._wild_posted += 1
         return None
 
-    def _consume_unexpected(self, key: Tuple[int, int], entry: list) -> Message:
-        """Remove ``entry`` (its bucket's head — see module docstring) from
-        the unexpected structures and return its message."""
-        bucket = self._unexpected[key]
-        head = bucket.popleft()
-        assert head is entry, "matched entry must be its bucket's head"
+    def _consume_unexpected(self, key: Tuple[int, int],
+                            bucket: Deque[int]) -> Message:
+        """Remove the head of ``key``'s ``bucket`` from the unexpected
+        structures and return its message."""
+        seq = bucket.popleft()
         if not bucket:
             del self._unexpected[key]
-        entry[1] = False
-        self._dead += 1
-        if (self._dead >= _COMPACT_MIN_DEAD
-                and self._dead * 2 >= len(self._arrivals)):
-            self._arrivals = deque(e for e in self._arrivals if e[1])
-            self._dead = 0
-        return entry[0]
+        return self._arrivals.pop(seq)
 
     # -- network side ----------------------------------------------------
     def incoming(self, msg: Message) -> Optional[Request]:
@@ -161,13 +150,13 @@ class MatchingEngine:
             if best_key[0] == ANY_SOURCE or best_key[1] == ANY_TAG:
                 self._wild_posted -= 1
             return req
-        entry = [msg, True]
+        seq = self._arrival_seq = self._arrival_seq + 1
+        self._arrivals[seq] = msg
         key = (src, tag)
         bucket = self._unexpected.get(key)
         if bucket is None:
             bucket = self._unexpected[key] = deque()
-        bucket.append(entry)
-        self._arrivals.append(entry)
+        bucket.append(seq)
         return None
 
     # -- introspection -----------------------------------------------------
@@ -177,7 +166,7 @@ class MatchingEngine:
 
     @property
     def unexpected_depth(self) -> int:
-        return len(self._arrivals) - self._dead
+        return len(self._arrivals)
 
 
 class LinearMatchingEngine:

@@ -294,8 +294,8 @@ class Cluster:
                         local_done=local_done)
 
             ev = eng.event()
-            ev.add_callback(lambda _ev: self._deliver(msg))
-            ev.succeed(delay=arrive - eng.now)
+            ev.callbacks.append(self._deliver_event)
+            ev.succeed(msg, delay=arrive - eng.now)
             return local_done
 
         # --- inter-node: sender computes the wire arrival, receiver
@@ -445,8 +445,8 @@ class Cluster:
         )
 
     def _deliver_event(self, ev) -> None:
-        """Delivery callback used by the batched wire path: the message
-        rides in the event's value slot instead of a per-message closure."""
+        """Delivery callback of every unfaulted send: the message rides in
+        the event's value slot instead of a per-message closure."""
         self._deliver(ev._value)
 
     def _deliver(self, msg: Message) -> None:

@@ -10,6 +10,7 @@ from repro.apps.gauss_seidel.common import (
     partition_rows,
 )
 from repro.apps.gauss_seidel.runner import run_gauss_seidel_steady
+from repro.apps.gauss_seidel.storage import RankStorage
 from repro.harness import JobSpec, MARENOSTRUM4, CTE_AMD
 
 MACH4 = MARENOSTRUM4.with_cores(4)
@@ -111,6 +112,45 @@ class TestModelMode:
         # steady-state throughput is at least the whole-run throughput
         # (which still pays the pipeline fill)
         assert steady.throughput >= full.throughput * 0.99
+
+    def test_storage_allocates_only_the_rows_a_rank_uses(self):
+        """Model mode keeps the two boundary rows a rank sends plus its two
+        halos; the fixed global boundaries live in the edge ranks' halos
+        and no rank allocates a row of its own for them."""
+        params = GSParams(rows=64, cols=32, timesteps=1, block_size=8,
+                          top_boundary=2.5, compute_data=False)
+        parts = partition_rows(params.rows, 4)
+        st = [RankStorage(params, r, 4, parts[r], None) for r in range(4)]
+
+        def owned_bytes(s):
+            owners = []
+            for a in vars(s).values():
+                if isinstance(a, np.ndarray):
+                    base = a if a.base is None else a.base
+                    if not any(base is o for o in owners):
+                        owners.append(base)
+            return sum(o.nbytes for o in owners)
+
+        row = params.cols * 8
+        for s in st:
+            assert owned_bytes(s) == 4 * row + s.side_zeros.nbytes
+        assert np.array_equal(st[0].halo_top, np.full(params.cols, 2.5))
+        assert np.array_equal(st[-1].halo_bottom, np.zeros(params.cols))
+        assert not st[1].halo_top.any() and not st[2].halo_bottom.any()
+
+    def test_data_mode_storage_unchanged(self):
+        params = GSParams(rows=48, cols=32, timesteps=1, block_size=8,
+                          top_boundary=2.5)
+        grid = initial_grid(params)
+        parts = partition_rows(params.rows, 3)
+        st = [RankStorage(params, r, 3, parts[r], grid) for r in range(3)]
+        for s, (r0, r1) in zip(st, parts):
+            assert s.data_mode and s.local_segment_array() is s.local
+            assert np.array_equal(s.local, grid[r0:r1])
+            assert not np.shares_memory(s.local, grid)
+        assert np.array_equal(st[0].halo_top, np.full(params.cols, 2.5))
+        assert np.array_equal(st[-1].halo_bottom, np.zeros(params.cols))
+        assert not st[1].halo_top.any() and not st[1].halo_bottom.any()
 
     def test_determinism(self):
         params = GSParams(rows=128, cols=128, timesteps=3, block_size=32,

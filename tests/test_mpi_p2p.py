@@ -1,10 +1,13 @@
 """Unit tests for two-sided MPI: matching, protocols, completion."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.sim import Engine
 from repro.network import Cluster, OMNIPATH
+from repro.network.message import Message
 from repro.mpi import (
     MPIContext,
     MPIProcDriver,
@@ -12,6 +15,8 @@ from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
 )
+from repro.mpi.matching import MatchingEngine
+from repro.mpi.requests import Request
 from tests.conftest import run_all
 
 
@@ -189,6 +194,35 @@ class TestMatchingSemantics:
         _eng, mpi = make_ctx()
         with pytest.raises(MPIError):
             mpi.rank(0).isend(np.ones(1), 9, tag=0)
+
+    @pytest.mark.parametrize("peer,tag", [(0, 5), (ANY_SOURCE, 5),
+                                          (0, ANY_TAG),
+                                          (ANY_SOURCE, ANY_TAG)],
+                             ids=["bucket", "any-source", "any-tag", "any-any"])
+    def test_match_releases_message(self, peer, tag):
+        """The unexpected queue holds live messages only: once a receive
+        matches a buffered message, the matcher keeps no reference to it or
+        its payload, on the bucket path and on the wildcard walk alike."""
+        eng = Engine()
+        me = MatchingEngine()
+        payload = np.arange(16.0)
+        payload_ref = weakref.ref(payload)
+        assert me.incoming(Message(0, 1, "mpi", "eager", payload.nbytes,
+                                   payload, meta={"tag": 5})) is None
+        del payload
+        other = Message(2, 1, "mpi", "eager", 8, np.ones(1), meta={"tag": 7})
+        assert me.incoming(other) is None
+        assert me.unexpected_depth == 2
+
+        got = me.post_recv(Request(eng, "recv", 1, peer, tag, None, 128))
+        assert got is not None and got.src_rank == 0
+        assert me.unexpected_depth == 1
+        del got
+        assert payload_ref() is None
+
+        # the message still queued is untouched
+        assert me.post_recv(Request(eng, "recv", 1, 2, 7, None, 8)) is other
+        assert me.unexpected_depth == 0
 
 
 class TestCompletionAPIs:

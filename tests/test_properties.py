@@ -236,6 +236,11 @@ class TestMatchingDifferentialOracle:
             assert got_i is got_l
             assert indexed.posted_depth == linear.posted_depth
             assert indexed.unexpected_depth == linear.unexpected_depth
+            # the indexed queue holds exactly the oracle's live messages,
+            # in arrival order: nothing matched stays referenced
+            live = list(indexed._arrivals.values())
+            assert len(live) == len(linear.unexpected)
+            assert all(a is b for a, b in zip(live, linear.unexpected))
 
 
 class TestEngineOrderingProperties:
