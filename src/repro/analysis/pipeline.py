@@ -33,6 +33,9 @@ from typing import Dict, List, Optional, Tuple
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
 
+#: the MPI request registry is never pruned below this many entries
+_MIN_PRUNE = 64
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -109,8 +112,10 @@ class AnalysisPipeline:
         self.cluster = None
         self.tagaspi_libs: List = []
         self.runtimes: List = []
-        #: live (created, not yet done) MPI requests
+        #: live (created, not yet done) MPI requests, in registration
+        #: order: finished ones are pruned as registrations accumulate
         self.mpi_requests: List = []
+        self._mpi_prune_at = _MIN_PRUNE
         #: live non-independent tasks: (runtime name, task uid) -> task
         self.live_tasks: Dict[Tuple[str, int], object] = {}
         #: in-flight (sent, undelivered) messages: uid -> summary tuple
@@ -207,7 +212,14 @@ class AnalysisPipeline:
     # MPI / tasking / network hooks
     # ------------------------------------------------------------------
     def on_mpi_request(self, req) -> None:
-        self.mpi_requests.append(req)
+        reqs = self.mpi_requests
+        reqs.append(req)
+        if len(reqs) >= self._mpi_prune_at:
+            # amortised O(1): filter once the list doubles past its last
+            # live size. ``done`` never turns False again, and the readers
+            # (deadlock diagnosis, finalize lint) skip done requests anyway
+            reqs[:] = [r for r in reqs if not r.done]
+            self._mpi_prune_at = max(_MIN_PRUNE, 2 * len(reqs))
 
     def on_task_submit(self, task, runtime) -> None:
         self.live_tasks[(runtime.name, task.uid)] = task

@@ -244,15 +244,7 @@ class Cluster:
             eid = self._next_edge_id
             self._next_edge_id = eid + 1
             self._edge_ids[msg.uid] = eid
-            meta = msg.meta or {}
-            extra = {}
-            if "tag" in meta:
-                extra["tag"] = meta["tag"]
-            if "notif_id" in meta:
-                extra["notif_id"] = meta["notif_id"]
-            tr0.instant("net", "msg_send", now, rank=msg.src_rank,
-                        dst=msg.dst_rank, protocol=msg.protocol,
-                        kind=msg.kind, nbytes=msg.nbytes, eid=eid, **extra)
+            tr0.msg_send(msg, eid, now)
         src_node = self.node_of(msg.src_rank)
         dst_node = self.node_of(msg.dst_rank)
         intra = src_node == dst_node

@@ -95,7 +95,7 @@ def _classify_wait(task: TaskInfo, t0: float, t1: float, rank: object,
     notif = min(notif, span)
     lock = 0.0
     for rec in task.mpi_waits:
-        lock += rec.args.get("lock_wait", 0.0)
+        lock += rec.lock_wait
     lock = min(lock, span - notif)
     comm = span - notif - lock
     # emit in timeline order; the subdivision inside the window is nominal
@@ -145,16 +145,15 @@ def _task_path(model: PerfModel) -> CriticalPath:
                 bind = w
         mbind = None
         for rec in t.mpi_waits:
-            if (rec.args.get("kind") != "recv"
-                    or rec.args.get("sent_at") is None
-                    or rec.args["sent_at"] > end + 1e-12
+            if (rec.kind != "recv"
+                    or rec.sent_at is None
+                    or rec.sent_at > end + 1e-12
                     or rec.t0 > end + 1e-12):
                 continue
             # the span may outlive the completion instant by the release
             # grant; clamp its completion to ``end``
-            if mbind is None or ((min(rec.t1, end), rec.args.get("tag") or 0)
-                                 > (min(mbind.t1, end),
-                                    mbind.args.get("tag") or 0)):
+            if mbind is None or ((min(rec.t1, end), rec.tag or 0)
+                                 > (min(mbind.t1, end), mbind.tag or 0)):
                 mbind = rec
         bind_t = (bind.fulfilled_at
                   if bind is not None and bind.fulfilled_at > t.finished
@@ -172,8 +171,8 @@ def _task_path(model: PerfModel) -> CriticalPath:
         if bind is None and mbind is not None:
             # the sender's task was mid-body when it injected the message;
             # resume the walk there
-            prod = model.task_running_at(norm_rank(mbind.args.get("peer")),
-                                         mbind.args["sent_at"])
+            prod = model.task_running_at(norm_rank(mbind.peer),
+                                         mbind.sent_at)
             if prod is None:
                 mbind = None
         if prod is not None and bind is not None:
@@ -200,10 +199,9 @@ def _task_path(model: PerfModel) -> CriticalPath:
         if prod is not None and mbind is not None:
             # wire time is comm; delivery-to-detection is the polling
             # latency (the TAMPI analogue of notification detection)
-            sent = mbind.args["sent_at"]
-            peer = norm_rank(mbind.args.get("peer"))
-            deliver = model.wire.get((peer, t.rank,
-                                      mbind.args.get("tag"), sent))
+            sent = mbind.sent_at
+            peer = norm_rank(mbind.peer)
+            deliver = model.wire.get((peer, t.rank, mbind.tag, sent))
             if end > mb_t:
                 _classify_wait(t, mb_t, end, t.rank, segments)
             if deliver is not None and sent < deliver < mb_t:
@@ -283,7 +281,7 @@ def _rank_timeline_path(model: PerfModel) -> CriticalPath:
     rv = model.ranks[last_rank]
     comm = _union([(r.t0, r.t1) for r in rv.blocked + rv.mpi_calls])
     compute = _union([(r.t0, r.t1) for r in rv.compute])
-    lock = sum(r.args.get("wait", 0.0) for r in rv.mpi_calls)
+    lock = sum(r.wait for r in rv.mpi_calls)
     end = last_t
     events: List[PathSegment] = []
     for a, b in comm:

@@ -9,7 +9,10 @@ the per-layer spans into per-task and per-rank views.
 One builder, two feeds: a :class:`PerfTracer` folds the emits of a running
 ``perf=True`` job and keeps no records; a recording tracer or an exported
 Chrome-trace document (``records_from_chrome``) is replayed through the
-same fold, so the CLI analyzes the model the in-process hook does.
+same fold, so the CLI analyzes the model the in-process hook does. Either
+way the model keeps, per emit, only the fields the analyses read back, in
+slotted records (:class:`Interval`, :class:`MPICall`, :class:`BlockedWait`,
+:class:`IWait`, :class:`NotifyWait`) or plain tuples.
 
 Rank normalization: the tasking runtime names ranks ``"rank0"`` (strings)
 while the MPI/GASPI/network layers use integer ranks; both are folded onto
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -88,6 +92,49 @@ def records_from_chrome(doc: dict) -> List[TraceRecord]:
 
 
 @dataclass(slots=True)
+class Interval:
+    """A kept ``[t0, t1]`` span: ``proc``/``compute`` and ``*.detect``."""
+
+    t0: float
+    t1: float
+
+
+@dataclass(slots=True)
+class MPICall:
+    """An ``mpi`` library span other than a blocking wait."""
+
+    t0: float
+    t1: float
+    #: time queued on the MPI global lock
+    wait: float
+
+
+@dataclass(slots=True)
+class BlockedWait:
+    """An ``mpi`` ``wait.block`` / ``waitall.block`` span."""
+
+    t0: float
+    t1: float
+    kind: Optional[str]
+    #: injection time of the matching message (recv side)
+    sent_at: Optional[float]
+
+
+@dataclass(slots=True)
+class IWait:
+    """A TAMPI ``iwait.pending`` span: one object, shared by its rank's
+    ``RankView.iwaits`` and its task's ``TaskInfo.mpi_waits``."""
+
+    t0: float
+    t1: float
+    kind: Optional[str]
+    peer: object
+    tag: object
+    sent_at: Optional[float]
+    lock_wait: float
+
+
+@dataclass(slots=True)
 class TaskInfo:
     """One completed task, keyed by (rank, uid)."""
 
@@ -103,7 +150,7 @@ class TaskInfo:
     cpu: float = 0.0
     #: TAMPI ``iwait.pending`` spans bound to this task (tuples: most
     #: tasks have none, and share the one empty default)
-    mpi_waits: Tuple[TraceRecord, ...] = ()
+    mpi_waits: Tuple[IWait, ...] = ()
     #: joined notification waits bound to this task
     notify_waits: Tuple["NotifyWait", ...] = ()
 
@@ -133,21 +180,21 @@ class NotifyWait:
 
 @dataclass
 class RankView:
-    """Per-rank record buckets for wait-state and efficiency analysis."""
+    """Per-rank span buckets for wait-state and efficiency analysis."""
 
     rank: object
     #: ``mpi`` blocking spans (``wait.block`` / ``waitall.block``)
-    blocked: List[TraceRecord] = field(default_factory=list)
-    #: all other ``mpi`` library spans (lock wait in ``args["wait"]``)
-    mpi_calls: List[TraceRecord] = field(default_factory=list)
+    blocked: List[BlockedWait] = field(default_factory=list)
+    #: all other ``mpi`` library spans
+    mpi_calls: List[MPICall] = field(default_factory=list)
     #: ``proc``/``compute`` spans (MPI-only useful work)
-    compute: List[TraceRecord] = field(default_factory=list)
-    #: ``gaspi`` submission spans (queue wait in ``args["wait"]``)
-    gaspi_submits: List[TraceRecord] = field(default_factory=list)
+    compute: List[Interval] = field(default_factory=list)
+    #: queue-device wait of each ``gaspi`` submission span
+    gaspi_waits: List[float] = field(default_factory=list)
     #: TAGASPI ``*.detect`` spans (poller detection delay)
-    detects: List[TraceRecord] = field(default_factory=list)
+    detects: List[Interval] = field(default_factory=list)
     #: TAMPI ``iwait.pending`` spans
-    iwaits: List[TraceRecord] = field(default_factory=list)
+    iwaits: List[IWait] = field(default_factory=list)
     #: joined notification waits consumed on this rank
     notify_waits: List[NotifyWait] = field(default_factory=list)
     #: distinct worker lanes observed (cores actually used)
@@ -156,25 +203,29 @@ class RankView:
     task_cpu: float = 0.0
 
 
+_first = operator.itemgetter(0)
+
+
 class PerfModel:
     """Joined causal model of one traced run, built as a fold: feed every
     emit in order (:class:`PerfTracer` online, or records replayed), then
-    :meth:`finish`. Only the records the analyses read back are kept."""
+    :meth:`finish`. Each kept emit leaves only the fields the analyses
+    read back; no record and no emit args dict is kept."""
 
     def __init__(self) -> None:
         self.tasks: Dict[Tuple[object, int], TaskInfo] = {}
         self.ranks: Dict[object, RankView] = {}
         self.makespan = 0.0
-        #: msg_send instants by edge id, and matched deliver times
-        self.edges: Dict[int, Tuple[TraceRecord, Optional[float]]] = {}
         self._finished = False
-        # what finish() joins: wire instants by edge id, notification
-        # instants by (rank, seg, notif_id), each in emission order
-        self._sends: Dict[int, TraceRecord] = {}
+        # what finish() joins, then drops, each in emission order: tagged
+        # sends' wire keys (src, dst, tag, t) and their delivery times by
+        # edge id; notification arrivals (t, sent_at), producer submits
+        # (t, rank, uid) and consumptions by (rank, seg, notif_id)
+        self._sends: Dict[int, Tuple[object, object, object, float]] = {}
         self._delivers: Dict[int, float] = {}
-        self._arrivals: Dict[tuple, List[TraceRecord]] = {}
+        self._arrivals: Dict[tuple, List[Tuple[float, Optional[float]]]] = {}
+        self._submits: Dict[tuple, List[tuple]] = {}
         self._consumes: Dict[tuple, List[NotifyWait]] = {}
-        self._submits: Dict[tuple, List[TraceRecord]] = {}
 
     # ------------------------------------------------------------------
     def _rank(self, rank: object) -> RankView:
@@ -200,26 +251,29 @@ class PerfModel:
         if cat == "tasking":
             if lane and lane[0] == "w":
                 self._rank(norm_rank(rank)).lanes.add(lane)
-            return
-        rec = TraceRecord("span", cat, name, rank, lane, t0, t1, args)
-        rank = norm_rank(rank)
-        if cat == "mpi":
-            rv = self._rank(rank)
+        elif cat == "mpi":
+            rv = self._rank(norm_rank(rank))
             if name in ("wait.block", "waitall.block"):
-                rv.blocked.append(rec)
+                rv.blocked.append(BlockedWait(
+                    t0, t1, args.get("kind"), args.get("sent_at")))
             else:
-                rv.mpi_calls.append(rec)
+                rv.mpi_calls.append(MPICall(t0, t1, args.get("wait", 0.0)))
         elif cat == "proc" and name == "compute":
-            self._rank(rank).compute.append(rec)
+            self._rank(norm_rank(rank)).compute.append(Interval(t0, t1))
         elif cat == "tampi" and name == "iwait.pending":
+            rank = norm_rank(rank)
+            rec = IWait(t0, t1, args.get("kind"), args.get("peer"),
+                        args.get("tag"), args.get("sent_at"),
+                        args.get("lock_wait", 0.0))
             self._rank(rank).iwaits.append(rec)
             uid = args.get("uid")
             if uid is not None:
                 self._task(rank, uid).mpi_waits += (rec,)
         elif cat == "tagaspi" and name.endswith(".detect"):
-            self._rank(rank).detects.append(rec)
+            self._rank(norm_rank(rank)).detects.append(Interval(t0, t1))
         elif cat == "gaspi":
-            self._rank(rank).gaspi_submits.append(rec)
+            self._rank(norm_rank(rank)).gaspi_waits.append(
+                args.get("wait", 0.0))
 
     def instant(self, cat: str, name: str, t: float, rank: object,
                 lane: Optional[str], args: Optional[dict]) -> None:
@@ -233,19 +287,22 @@ class PerfModel:
         elif cat == "tasking" and name == "task_done":
             self.task_done(rank, t, **args)
         elif cat == "net" and name == "msg_send":
-            self._sends[args["eid"]] = TraceRecord(
-                "instant", cat, name, rank, lane, t, t, args)
+            self.msg_send(t, args["eid"], rank, args.get("dst"), args)
         elif cat == "net" and name == "msg_deliver":
-            self._delivers[args["eid"]] = t
+            eid = args["eid"]
+            # a send is emitted before its delivery, and only a tagged one
+            # is kept: nothing else is ever joined
+            if eid in self._sends:
+                self._delivers[eid] = t
         elif cat == "gaspi" and name == "notify_arrival":
             key = (norm_rank(rank), args.get("seg"), args.get("notif_id"))
-            self._arrivals.setdefault(key, []).append(TraceRecord(
-                "instant", cat, name, rank, lane, t, t, args))
+            self._arrivals.setdefault(key, []).append(
+                (t, args.get("sent_at")))
         elif cat == "tagaspi" and name == "op_submit":
             key = (norm_rank(args.get("dest")), args.get("seg"),
                    args.get("notif_id"))
-            self._submits.setdefault(key, []).append(TraceRecord(
-                "instant", cat, name, rank, lane, t, t, args))
+            self._submits.setdefault(key, []).append(
+                (t, norm_rank(rank), args.get("uid")))
         elif cat == "tagaspi" and name in ("notify_fulfilled",
                                            "notify_immediate"):
             nw = NotifyWait(
@@ -254,6 +311,17 @@ class PerfModel:
                 immediate=name == "notify_immediate")
             self._consumes.setdefault(
                 (nw.rank, nw.seg, nw.notif_id), []).append(nw)
+
+    def msg_send(self, t: float, eid: int, src: object, dst: object,
+                 meta: Optional[dict]) -> None:
+        """The ``net/msg_send`` instant, its fields spelled out: a tagged
+        message keeps its wire key ``(src, dst, tag, t)``, nothing else.
+        ``meta`` is the message's (online) or the instant's args (replay):
+        only its ``tag`` is read."""
+        if t > self.makespan:
+            self.makespan = t
+        if meta and "tag" in meta:
+            self._sends[eid] = (norm_rank(src), norm_rank(dst), meta["tag"], t)
 
     def task_done(self, rank: object, t: float, uid: int,
                   task: Optional[str] = None, created: Optional[float] = None,
@@ -281,30 +349,27 @@ class PerfModel:
         # consumed in posting order
         for key, waits in self._consumes.items():
             waits.sort(key=lambda w: w.fulfilled_at)
-            arr = sorted(self._arrivals.get(key, ()), key=lambda r: r.t0)
-            sub = sorted(self._submits.get(key, ()), key=lambda r: r.t0)
+            arr = sorted(self._arrivals.get(key, ()), key=_first)
+            sub = sorted(self._submits.get(key, ()), key=_first)
             for i, w in enumerate(waits):
                 if i < len(arr):
-                    w.arrival_at = arr[i].t0
-                    w.sent_at = arr[i].args.get("sent_at")
+                    w.arrival_at, w.sent_at = arr[i]
                 if i < len(sub):
-                    w.producer_rank = norm_rank(sub[i].rank)
-                    w.producer_uid = sub[i].args.get("uid")
-                    w.submit_at = sub[i].t0
+                    w.submit_at, w.producer_rank, w.producer_uid = sub[i]
                 if w.uid is not None:
                     self._task(key[0], w.uid).notify_waits += (w,)
                 self._rank(key[0]).notify_waits.append(w)
 
-        for eid, rec in self._sends.items():
-            self.edges[eid] = (rec, self._delivers.get(eid))
         # wire lookup keyed by the recv side's knowledge of the message:
         # (src, dst, tag, injection time) -> delivery time
         self.wire: Dict[Tuple[object, object, object, float], float] = {}
-        for rec, deliver_t in self.edges.values():
-            if deliver_t is None or "tag" not in rec.args:
-                continue
-            self.wire[(norm_rank(rec.rank), norm_rank(rec.args.get("dst")),
-                       rec.args["tag"], rec.t0)] = deliver_t
+        for eid, key in self._sends.items():
+            deliver_t = self._delivers.get(eid)
+            if deliver_t is not None:
+                self.wire[key] = deliver_t
+        for joined in (self._sends, self._delivers, self._arrivals,
+                       self._submits, self._consumes):
+            joined.clear()
 
         for t in self.tasks.values():
             if t.completed > 0.0 or t.finished > 0.0:
@@ -368,7 +433,8 @@ class PerfTracer(Tracer):
     def counter(self, category, name, t, value, rank=None):
         self.model.instant("counter", name, t, rank, None, None)
 
-    # the typed emits read the objects' slots: no kwargs dict per task
+    # the typed emits read the objects' slots: no kwargs dict per task or
+    # message
     def task_on_core(self, worker, task, t0, outcome):
         self.span("tasking", task.label, t0, worker.engine.now,
                   worker.runtime.name, worker.lane)
@@ -378,6 +444,9 @@ class PerfTracer(Tracer):
             runtime.name, runtime.engine.now, task.uid, task.label,
             task.created_at, task.ready_at, task.started_at,
             task.finished_at, task.cpu_time)
+
+    def msg_send(self, msg, eid, t):
+        self.model.msg_send(t, eid, msg.src_rank, msg.dst_rank, msg.meta)
 
 
 def model_from_records(records: Iterable[TraceRecord]) -> PerfModel:

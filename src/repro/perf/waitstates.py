@@ -65,18 +65,18 @@ def classify_waits(model: PerfModel) -> List[RankWaits]:
         # -- late sender: blocking waits and TAMPI pending recvs that
         # started before the matching message was injected
         for rec in rv.blocked + rv.iwaits:
-            if rec.args.get("kind") != "recv":
+            if rec.kind != "recv":
                 continue
-            sent_at = rec.args.get("sent_at")
+            sent_at = rec.sent_at
             if sent_at is not None and sent_at > rec.t0:
                 w.late_sender += min(sent_at, rec.t1) - rec.t0
         # -- lock wait: MPI global-lock and GASPI queue-device waits
         for rec in rv.mpi_calls:
-            w.lock_wait += rec.args.get("wait", 0.0)
+            w.lock_wait += rec.wait
         for rec in rv.iwaits:
-            w.lock_wait += rec.args.get("lock_wait", 0.0)
-        for rec in rv.gaspi_submits:
-            w.lock_wait += rec.args.get("wait", 0.0)
+            w.lock_wait += rec.lock_wait
+        for wait in rv.gaspi_waits:
+            w.lock_wait += wait
         # -- notifications: registered-before-arrival is a late
         # notification; arrival-before-detection is polling delay
         for nw in rv.notify_waits:

@@ -90,8 +90,8 @@ class Tracer:
                         {"value": value})
         )
 
-    # typed emits (the two hottest sites): the base implementation *is*
-    # the generic record; a subclass may read the objects' slots instead
+    # typed emits (the hottest sites): the base implementation *is* the
+    # generic record; a subclass may read the objects' slots instead
     def task_on_core(self, worker, task, t0: float, outcome: str) -> None:
         """One on-core interval of ``task`` on ``worker``, ending now."""
         self.span("tasking", task.label, t0, worker.engine.now,
@@ -105,6 +105,19 @@ class Tracer:
                      created=task.created_at, ready=task.ready_at,
                      started=task.started_at, finished=task.finished_at,
                      cpu=task.cpu_time)
+
+    def msg_send(self, msg, eid: int, t: float) -> None:
+        """``msg`` was injected at ``t``; ``eid`` is its cluster-local
+        edge id, which the matching ``msg_deliver`` instant repeats."""
+        meta = msg.meta or {}
+        extra = {}
+        if "tag" in meta:
+            extra["tag"] = meta["tag"]
+        if "notif_id" in meta:
+            extra["notif_id"] = meta["notif_id"]
+        self.instant("net", "msg_send", t, rank=msg.src_rank,
+                     dst=msg.dst_rank, protocol=msg.protocol, kind=msg.kind,
+                     nbytes=msg.nbytes, eid=eid, **extra)
 
     # ------------------------------------------------------------------
     # queries (used by tests, the text exporter, and the CLI)

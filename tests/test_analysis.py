@@ -4,8 +4,11 @@ resource lint, the static determinism lint, and the harness ``check=``
 axis. The acceptance bar: known-racy programs are flagged, deadlocks are
 named, and every paper variant is race/deadlock-free under strict mode."""
 
+import gc
 import os
+import runpy
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +211,112 @@ class TestResourceLint:
         gaspi.rank(0).write(0, 0, 1, 0, 0, N, queue=1)
         eng.run()
         assert [f.kind for f in an.finalize()] == ["ww-race"]
+
+
+def _exchange(job, n, tail=None, leak_every=None):
+    """Rank 0 sends ``n`` waited messages to rank 2 (a fresh buffer each),
+    posting an unmatched irecv from rank 1 every ``leak_every`` sends; then
+    runs ``tail``."""
+
+    def src(drv):
+        for i in range(n):
+            if leak_every and i % leak_every == 0:
+                # posted, never matched (analysis-ok: seeded leak for the lint)
+                yield from drv.irecv(np.zeros(4), 1, tag=1000 + i)
+            req = yield from drv.isend(np.zeros(4), 2, tag=i)
+            yield from drv.wait(req)
+        if tail is not None:
+            yield from tail(drv)
+
+    def sink(drv):
+        buf = np.zeros(4)
+        for i in range(n):
+            req = yield from drv.irecv(buf, 0, tag=i)
+            yield from drv.wait(req)
+
+    return [job.drivers[0].spawn(src), job.drivers[2].spawn(sink)]
+
+
+class TestRequestRegistry:
+    """``AnalysisPipeline.mpi_requests`` holds unfinished requests only,
+    and its readers report exactly what the unpruned registry gave."""
+
+    def _job(self):
+        return build_job(JobSpec(machine=MACH4, n_nodes=1, variant="mpi",
+                                 check="report"))
+
+    def test_waited_request_is_released_before_finalize(self, monkeypatch):
+        """A request that completed and was waited on is garbage once
+        later registrations prune the registry, long before finalize. Its
+        send buffer stands in for it: nothing but the request holds it."""
+        from repro.mpi.comm import MPIRank
+
+        real = MPIRank.isend
+        first = []
+
+        def isend(self, buf, dest, tag):
+            if not first:
+                first.append(weakref.ref(buf))
+            return real(self, buf, dest, tag)
+
+        monkeypatch.setattr(MPIRank, "isend", isend)
+        job = self._job()
+        seen = {}
+
+        def tail(drv):
+            gc.collect()
+            seen["released"] = first[0]() is None
+            seen["registered"] = len(job.analysis.mpi_requests)
+            yield from ()
+
+        job.run(_exchange(job, 200, tail=tail))
+        assert seen["released"]
+        # 400 registrations, 1 unfinished at the end: the list stays small
+        assert seen["registered"] < 64
+        assert job.analysis.warnings == []
+
+    def test_unfreed_requests_keep_their_text_and_order(self):
+        job = self._job()
+        job.run(_exchange(job, 200, leak_every=20))
+        assert [str(w) for w in job.analysis.warnings] == [
+            "[warning] resources/unfreed-mpi-request rank=rank0 "
+            "t=0.000166537s: 10 MPI request(s) never completed/waited: "
+            "recv tag=1000 peer=rank1 pending, recv tag=1020 peer=rank1 "
+            "pending, recv tag=1040 peer=rank1 pending, recv tag=1060 "
+            "peer=rank1 pending, ... (6 more)"]
+        assert job.analysis.warnings[0].details == (("count", 10),)
+
+    def test_deadlock_report_text_unchanged(self):
+        job = self._job()
+
+        def stuck(drv):
+            req = yield from drv.irecv(np.zeros(4), 1, tag=9)  # nobody sends
+            yield from drv.wait(req)
+
+        with pytest.raises(SimulationError) as exc:
+            job.run(_exchange(job, 200, tail=stuck))
+        assert str(exc.value) == (
+            "job deadlocked; still alive: ['mpi-only.rank0']\n"
+            "wait-for diagnosis (1 blocked process(es)):\n"
+            "  rank0: blocked in mpi_wait(kind=recv, peer=1, tag=9) "
+            "since t=0.000161987s\n"
+            "  rank0: recv tag=9 peer=rank1 pending\n"
+            "  rank0 waits for: rank1")
+
+    def test_unwaited_request_example_convicts_with_the_same_text(self):
+        from repro.mpi.comm import MPIProcDriver
+
+        ex = runpy.run_path(os.path.join(
+            os.path.dirname(__file__), "..", "examples", "static",
+            "unwaited_request.py"))
+        eng, mpi, an = ex["build"]()
+        MPIProcDriver(mpi.rank(1)).spawn(ex["leaky_consumer"])
+        eng.run()
+        an.finalize()
+        assert [str(w) for w in an.warnings] == [
+            "[warning] resources/unfreed-mpi-request rank=rank1 t=4e-07s: "
+            "1 MPI request(s) never completed/waited: recv tag=3 "
+            "peer=rank0 pending"]
 
 
 class TestHarnessCheckAxis:

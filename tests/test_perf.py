@@ -11,7 +11,9 @@ variant and the hybrids' critical-path comm share undercuts blocking MPI.
 
 from __future__ import annotations
 
+import gc
 import json
+import types
 
 import pytest
 
@@ -302,36 +304,31 @@ def _two_feed_cases():
     return [pytest.param(*c[1:], id=c[0]) for c in cases]
 
 
-def _retained(model):
-    """Every TraceRecord the model still references, each once."""
-    recs = []
-    for rv in model.ranks.values():
-        for bucket in (rv.blocked, rv.mpi_calls, rv.compute,
-                       rv.gaspi_submits, rv.detects, rv.iwaits):
-            recs.extend(bucket)
-    # a task's mpi_waits are the very objects in its rank's iwaits
-    for t in model.tasks.values():
-        iwaits = model.ranks[t.rank].iwaits if t.mpi_waits else ()
-        assert all(any(r is w for w in iwaits) for r in t.mpi_waits)
-    recs.extend(r for r, _ in model.edges.values())
-    for joined in (model._arrivals, model._submits):
-        for bucket in joined.values():
-            recs.extend(bucket)
-    assert all(isinstance(r, TraceRecord) for r in recs)
-    return recs
+def _reachable(root):
+    """Every object reachable from ``root`` by ``gc.get_referents``,
+    stopping at types, modules and functions (the interpreter, not the
+    model). ``seen`` holds every object it keys, so no id is reused."""
+    stop = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    seen = {id(root): root}  # analysis-ok: objects pinned by seen
+    todo = [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            key = id(ref)  # analysis-ok: objects pinned by seen
+            if key not in seen and not isinstance(ref, stop):
+                seen[key] = ref
+                todo.append(ref)
+    return list(seen.values())
 
 
-def _joined(rec):
-    """docs/perf.md's table: the record kinds the model keeps whole."""
-    if rec.kind == "span":
-        return (rec.category in ("mpi", "gaspi")
-                or (rec.category, rec.name) in (("proc", "compute"),
-                                                ("tampi", "iwait.pending"))
-                or (rec.category == "tagaspi"
-                    and rec.name.endswith(".detect")))
-    return (rec.category, rec.name) in (("net", "msg_send"),
-                                        ("gaspi", "notify_arrival"),
-                                        ("tagaspi", "op_submit"))
+def _kept(model):
+    """docs/perf.md's table, counted: compact span entries per rank, wire
+    keys, joined notification waits and tasks."""
+    spans = sum(len(bucket) for rv in model.ranks.values()
+                for bucket in (rv.blocked, rv.mpi_calls, rv.compute,
+                               rv.gaspi_waits, rv.detects, rv.iwaits))
+    waits = sum(len(rv.notify_waits) for rv in model.ranks.values())
+    return spans, len(model.wire), waits, len(model.tasks)
 
 
 class TestOneBuilderTwoFeeds:
@@ -382,14 +379,32 @@ class TestOneBuilderTwoFeeds:
         tracer = jobs[0].tracer
         assert isinstance(tracer, PerfTracer)
         assert tracer.records == [] and len(tracer) == 0
-        kept = _retained(tracer.model)
-        assert all(_joined(r) for r in kept)
-        # the recording twin: what it kept whole is what was joined
+        model = tracer.model
+        # no record and no emit kwargs dict is reachable: the only
+        # str-keyed dicts left are instances' attribute dicts
+        reachable = _reachable(tracer)
+        assert not [o for o in reachable if isinstance(o, TraceRecord)]
+        attrs = [vars(o) for o in reachable if hasattr(o, "__dict__")]
+        assert not [d for d in reachable
+                    if isinstance(d, dict) and any(isinstance(k, str)
+                                                   for k in d)
+                    and not any(d is a for a in attrs)]
+        # a task's mpi_waits are the very objects in its rank's iwaits
+        for t in model.tasks.values():
+            iwaits = model.ranks[t.rank].iwaits if t.mpi_waits else ()
+            assert all(any(r is w for w in iwaits) for r in t.mpi_waits)
+        # the recording twin replays into the same compact entries
         _, recording = gs_trace("tagaspi", perf=True)
-        want = [r for r in recording.records if _joined(r)]
-        assert sorted(kept, key=repr) == sorted(want, key=repr)
-        # pinned: of the 990 records this job emits, the model keeps 240
-        assert (len(kept), len(recording.records)) == (240, 990)
+        replayed = model_from_tracer(recording)
+        assert model.ranks == replayed.ranks
+        assert model.wire == replayed.wire
+        assert model.tasks == replayed.tasks
+        # pinned: of the 990 records this job emits, the model keeps 120
+        # span entries (40 gaspi submission waits, 80 detect intervals), no
+        # wire key (GASPI messages carry no tag; the 40 arrivals and 40
+        # submits are folded into 32 notification waits), and 104 tasks
+        assert _kept(model) + (len(recording.records),) == \
+            (120, 0, 32, 104, 990)
 
     def test_finish_is_idempotent(self):
         _, tracer = gs_trace("tagaspi", tracer=PerfTracer())
@@ -438,6 +453,39 @@ class TestOneBuilderTwoFeeds:
         assert online.model.finish().tasks == replayed.tasks
         assert online.model.ranks == replayed.ranks
         assert online.model.makespan == replayed.makespan == 2.5
+
+    def test_typed_msg_send_is_the_generic_record(self):
+        """``Tracer.msg_send`` records what ``Cluster.send`` used to build
+        by hand, args key order included; the PerfTracer override keeps
+        the wire key the replay keeps."""
+        from repro.network.message import Message
+        from repro.perf.model import model_from_records
+
+        metas = ({"tag": 3}, {"remote_seg": 0, "notif_id": 2},
+                 {"tag": 4, "notif_id": 5}, {}, None)
+        typed, generic, online = Tracer(), Tracer(), PerfTracer()
+        for eid, meta in enumerate(metas):
+            msg = Message(1, 4, "mpi", "eager", 72, meta=meta)
+            typed.msg_send(msg, eid, 1.5 + eid)
+            online.msg_send(msg, eid, 1.5 + eid)
+            online.instant("net", "msg_deliver", 9.0 + eid, rank=4, eid=eid)
+        kw = dict(rank=1, dst=4, protocol="mpi", kind="eager", nbytes=72)
+        generic.instant("net", "msg_send", 1.5, **kw, eid=0, tag=3)
+        generic.instant("net", "msg_send", 2.5, **kw, eid=1, notif_id=2)
+        generic.instant("net", "msg_send", 3.5, **kw, eid=2, tag=4,
+                        notif_id=5)
+        generic.instant("net", "msg_send", 4.5, **kw, eid=3)
+        generic.instant("net", "msg_send", 5.5, **kw, eid=4)
+        assert typed.records == generic.records
+        assert ([list(r.args) for r in typed.records]
+                == [list(r.args) for r in generic.records])
+        delivers = [TraceRecord("instant", "net", "msg_deliver", 4, None,
+                                9.0 + eid, 9.0 + eid, {"eid": eid})
+                    for eid in range(len(metas))]
+        replayed = model_from_records(typed.records + delivers)
+        assert online.model.finish().wire == replayed.wire == {
+            (1, 4, 3, 1.5): 9.0, (1, 4, 4, 3.5): 11.0}
+        assert online.model.makespan == replayed.makespan == 13.0
 
 
 class TestAcceptance:
