@@ -4,11 +4,11 @@ Each ``test_fig*`` benchmark regenerates one table/figure of the paper's
 evaluation (see DESIGN.md §3) at the downscaled machine sizes documented in
 EXPERIMENTS.md, prints the series, asserts the paper's qualitative claims
 (who wins, where), and records its variant timings to a machine-readable
-``BENCH_<name>.json`` artifact (``repro.bench`` writer). Run with::
+``<name>.json`` artifact (:func:`record_bench`). Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Artifacts land in the current directory unless ``REPRO_BENCH_DIR`` is set.
+Artifacts land in ``benchmarks/out/`` unless ``REPRO_BENCH_DIR`` is set.
 
 The figure sweeps run through :class:`repro.harness.parallel.SweepExecutor`
 (:func:`sweep_executor` below), so they shard across processes and memoize
@@ -21,14 +21,18 @@ per point without changing any result:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import sys
 import time
 
 import pytest
 
-from repro.bench import write_bench_json
 from repro.harness.parallel import ResultCache, SweepExecutor
+
+#: default artifact directory of :func:`record_bench` (git-ignored)
+OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
 #: wall seconds of the most recent run_once() sweep (consumed by
 #: record_bench so artifacts carry the measured time without every
@@ -86,12 +90,36 @@ def sweep_kwargs() -> dict:
     return {"workers": ex.workers, "cache": ex.cache}
 
 
+def _jsonable(value):
+    """Coerce dataclasses (e.g. :class:`~repro.harness.metrics.VariantResult`),
+    numpy scalars/arrays and non-str keys recursively; anything else that
+    JSON cannot hold becomes its ``repr``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _jsonable(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    tolist = getattr(value, "tolist", None)  # numpy scalars and arrays
+    if callable(tolist):
+        return _jsonable(tolist())
+    return repr(value)
+
+
 def record_bench(name: str, results, **extra) -> str:
     """Write this benchmark's results (any mix of dicts/lists/
-    VariantResult) to ``BENCH_<name>.json`` and announce the path."""
+    VariantResult) to ``<name>.json`` under ``REPRO_BENCH_DIR`` (default
+    :data:`OUT_DIR`), with sorted keys so artifacts diff cleanly, and
+    announce the path."""
     payload = {"name": name, "wall_s": _last_wall_s, "results": results}
     payload.update(extra)
-    path = write_bench_json(name, payload,
-                            os.environ.get("REPRO_BENCH_DIR", "."))
+    outdir = os.environ.get("REPRO_BENCH_DIR", OUT_DIR)
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     emit(f"recorded -> {path}")
     return path

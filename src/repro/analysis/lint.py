@@ -9,9 +9,10 @@ them mechanically:
 * **wallclock / global randomness** — ``time.time()`` & friends,
   ``datetime.now()``, and module-level ``random.*`` calls (the hidden
   global generator). Seeded ``random.Random(seed)`` / numpy generators
-  are fine. ``repro/bench/`` is exempt from the *wallclock* rule only:
-  benchmarks measure wall time by design, but still must not key state by
-  ``id()`` or iterate sets.
+  are fine. Files under a ``benchmarks`` directory are exempt from the
+  *wallclock* rule only: benchmarks measure wall time by design, but still
+  must not key state by ``id()`` or iterate sets. Nothing under
+  ``src/repro/`` is exempt.
 * **``id()``-keyed identity** — CPython reuses addresses after GC, so an
   ``id()``-keyed set can silently conflate a dead object with a live one
   (the pooled :class:`~repro.core.pool.PendingNotification` objects made
@@ -54,7 +55,7 @@ RULE_SET_ITER = "set-iteration"
 
 #: path components exempt from the wallclock rule (benchmarks measure
 #: wall time on purpose)
-_WALLCLOCK_EXEMPT_DIRS = frozenset({"bench", "benchmarks"})
+_WALLCLOCK_EXEMPT_DIRS = frozenset({"benchmarks"})
 
 #: suppression marker; must appear in a *comment* on the finding's line
 PRAGMA = "analysis-ok"

@@ -12,7 +12,7 @@ Two primitives the protocol rules are built from:
   (blocking wins on overlap).
 
 Both are intraprocedural and O(nodes × names) / O(edges) — fast enough
-to run over the whole tree in the ``verify`` bench without caching.
+to run over the whole tree on every CI run without caching.
 """
 
 from __future__ import annotations

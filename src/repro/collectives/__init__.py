@@ -3,7 +3,7 @@
 The paper's stack had only point-to-point and RMA traffic; this package
 adds allreduce / broadcast / barrier / allgather implemented on each
 communication substrate so they can be compared head-to-head
-(``BENCH_collectives.json``, docs/collectives.md):
+(``benchmarks/explain/test_collectives.py``, docs/collectives.md):
 
 * ``twosided`` — classical two-sided MPI trees and rings
   (:mod:`repro.collectives.twosided`);

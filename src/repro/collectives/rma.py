@@ -20,7 +20,7 @@ payload; each collective is one exposure epoch:
 The cost profile is the honest one: two barriers per collective plus an
 n-1 Get incast per rank — cheap at small rank counts, and exactly the
 scaling weakness versus the GASPI notification ring that
-``BENCH_collectives.json`` quantifies. The RMA race detector of
+``benchmarks/explain/test_collectives.py`` quantifies. The RMA race detector of
 ``repro.analysis`` watches GASPI segments, not MPI windows; fence epochs
 are race-free by construction here (no overlap between exposure and
 access epochs), which ``check=strict`` runs confirm by staying clean.
@@ -126,7 +126,7 @@ class RmaCollectives(Collectives):
             return out
         # non-roots expose nothing but still fence (active target is
         # collective); the root suffers the n-1 Get incast — naive RMA
-        # bcast has no tree, which the bench shows
+        # bcast has no tree
         yield from self.window.fence(self.rank, MPI_MODE_NOPRECEDE)
         out = np.empty(arr.size, dtype=np.float64)
         yield self.window.iget(self.rank, out, root)

@@ -24,9 +24,9 @@ the walk, which used to be O(queue depth) per operation:
   payload copy) is released the moment it is received. Wildcard receives
   (``ANY_SOURCE`` / ``ANY_TAG``) walk the dict's values, which is exactly
   the arrival order a linear walk would see.
-* :class:`LinearMatchingEngine` keeps the original O(n) deque walk as the
-  differential-testing oracle (tests/test_properties.py) and as the
-  baseline ``python -m repro.bench`` measures the indexed engine against.
+
+The original O(n) deque walk lives on as the differential-testing oracle
+in ``tests/reference/linear_matching.py``.
 
 FIFO equivalence argument (property-tested against the oracle):
 
@@ -51,13 +51,6 @@ from typing import Deque, Dict, Optional, Tuple
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.requests import Request
 from repro.network.message import Message
-
-
-def _req_matches_msg(req: Request, msg: Message) -> bool:
-    if req.peer not in (ANY_SOURCE, msg.src_rank):
-        return False
-    tag = msg.meta["tag"]
-    return req.tag in (ANY_TAG, tag)
 
 
 class MatchingEngine:
@@ -167,43 +160,3 @@ class MatchingEngine:
     @property
     def unexpected_depth(self) -> int:
         return len(self._arrivals)
-
-
-class LinearMatchingEngine:
-    """The original O(n) deque-walk matcher.
-
-    Kept verbatim as (a) the differential-testing oracle the indexed
-    :class:`MatchingEngine` is property-tested against, and (b) the
-    baseline the matching microbenchmark (``python -m repro.bench``)
-    records its speedup over. Not used on any hot path.
-    """
-
-    __slots__ = ("posted", "unexpected")
-
-    def __init__(self) -> None:
-        self.posted: Deque[Request] = deque()
-        self.unexpected: Deque[Message] = deque()
-
-    def post_recv(self, req: Request) -> Optional[Message]:
-        for i, msg in enumerate(self.unexpected):
-            if _req_matches_msg(req, msg):
-                del self.unexpected[i]
-                return msg
-        self.posted.append(req)
-        return None
-
-    def incoming(self, msg: Message) -> Optional[Request]:
-        for i, req in enumerate(self.posted):
-            if _req_matches_msg(req, msg):
-                del self.posted[i]
-                return req
-        self.unexpected.append(msg)
-        return None
-
-    @property
-    def posted_depth(self) -> int:
-        return len(self.posted)
-
-    @property
-    def unexpected_depth(self) -> int:
-        return len(self.unexpected)

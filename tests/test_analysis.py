@@ -400,7 +400,7 @@ class TestStaticLint:
         assert [f.rule for f in lint_file(str(p))] == []
 
     def test_bench_dirs_exempt_from_wallclock_only(self, tmp_path):
-        d = tmp_path / "bench"
+        d = tmp_path / "benchmarks"
         d.mkdir()
         p = d / "timer.py"
         p.write_text("import time\n\ndef f(x, seen):\n"

@@ -1,5 +1,4 @@
-"""The performance-diagnosis subsystem (repro.perf) and the bench
-regression gate (repro.bench.compare).
+"""The performance-diagnosis subsystem (repro.perf).
 
 Covers: the causal instants the instrumentation layers emit, the joined
 PerfModel, critical-path extraction for both the task-graph and the
@@ -549,118 +548,3 @@ class TestCLI:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-
-class TestBenchGate:
-    def _payload(self, name="gs", throughput=100.0, quick=True, **kw):
-        payload = {"name": name, "unit": "events/s", "throughput": throughput,
-                   "wall_s": 1.0, "quick": quick}
-        payload.update(kw)
-        return payload
-
-    def test_ok_within_threshold(self):
-        from repro.bench.compare import compare_payloads
-
-        res = compare_payloads(self._payload(throughput=90.0),
-                               self._payload(throughput=100.0))
-        assert res.status == "ok"
-
-    def test_regression_past_threshold(self):
-        from repro.bench.compare import compare_payloads
-
-        res = compare_payloads(self._payload(throughput=70.0),
-                               self._payload(throughput=100.0))
-        assert res.status == "regression"
-        assert "throughput" in res.metric
-
-    def test_speedup_preferred_over_throughput(self):
-        from repro.bench.compare import compare_payloads
-
-        # throughput regressed (host-dependent) but the speedup ratio
-        # held: the host-independent metric must win
-        res = compare_payloads(
-            self._payload(throughput=10.0, speedup=2.0),
-            self._payload(throughput=100.0, speedup=2.1))
-        assert res.status == "ok"
-        assert res.metric == "speedup"
-
-    def test_calibration_normalizes_throughput(self):
-        from repro.bench.compare import compare_payloads
-
-        # half the raw throughput on a host measured half as fast: fine
-        res = compare_payloads(
-            self._payload(throughput=50.0, calibration=500.0),
-            self._payload(throughput=100.0, calibration=1000.0))
-        assert res.status == "ok"
-        assert res.ratio == pytest.approx(1.0)
-
-    def test_quick_flag_mismatch_skips(self):
-        from repro.bench.compare import compare_payloads
-
-        res = compare_payloads(self._payload(quick=True),
-                               self._payload(quick=False))
-        assert res.status == "skipped"
-        assert "quick" in res.note
-
-    def test_sweep_gets_more_slack(self):
-        from repro.bench.compare import compare_payloads
-
-        fresh = self._payload(name="sweep", speedup=0.75)
-        base = self._payload(name="sweep", speedup=1.0)
-        assert compare_payloads(fresh, base).status == "ok"
-        fresh["speedup"] = 0.6
-        assert compare_payloads(fresh, base).status == "regression"
-
-    def test_compare_against_dir_missing_baseline(self, tmp_path):
-        from repro.bench.compare import compare_against_dir
-
-        results = compare_against_dir([self._payload(name="ghost")],
-                                      str(tmp_path))
-        assert results[0].status == "skipped"
-
-    def test_history_append(self, tmp_path):
-        from repro.bench.compare import append_history, history_record
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        rec = history_record(self._payload(speedup=2.0), rev="abc1234")
-        append_history(path, rec)
-        append_history(path, rec)
-        lines = [json.loads(ln) for ln in open(path)]
-        assert len(lines) == 2
-        assert lines[0]["name"] == "gs"
-        assert lines[0]["speedup"] == 2.0
-        assert lines[0]["git_rev"] == "abc1234"
-        assert "ts" in lines[0]
-
-    def test_cli_gate_exits_nonzero_on_regression(self, tmp_path, capsys):
-        """End-to-end: a crafted inflated baseline must fail the gate."""
-        from repro.bench.cli import main
-        from repro.bench.record import write_bench_json
-
-        outdir = str(tmp_path / "out")
-        basedir = str(tmp_path / "base")
-        # run one real quick benchmark to get an honest payload shape
-        rc = main(["--quick", "--only", "matching", "--outdir", outdir,
-                   "--baseline-dir", basedir, "--no-history"])
-        assert rc == 0
-        with open(f"{outdir}/BENCH_matching.json") as fh:
-            payload = json.load(fh)
-        payload["speedup"] *= 10  # baseline 10x faster -> regression
-        write_bench_json("matching", payload, basedir)
-        rc = main(["--quick", "--only", "matching", "--outdir", outdir,
-                   "--baseline-dir", basedir, "--compare", "--no-history"])
-        assert rc == 1
-        assert "FAILED" in capsys.readouterr().out
-
-    def test_cli_gate_passes_against_self(self, tmp_path):
-        from repro.bench.cli import main
-
-        outdir = str(tmp_path / "out")
-        rc = main(["--quick", "--only", "matching", "--outdir", outdir,
-                   "--no-history"])
-        assert rc == 0
-        rc = main(["--quick", "--only", "matching", "--outdir", outdir,
-                   "--baseline-dir", outdir, "--compare",
-                   "--history", str(tmp_path / "h.jsonl")])
-        assert rc == 0
-        lines = list(open(tmp_path / "h.jsonl"))
-        assert len(lines) == 1

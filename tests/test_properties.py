@@ -16,6 +16,7 @@ from repro.sim.serial import SerialDevice
 from repro.tasking import Runtime, RuntimeConfig, In, Out, InOut
 from tests.conftest import run_all
 from tests.reference.heap_engine import HeapEngine
+from tests.reference.linear_matching import LinearMatchingEngine
 
 
 class TestSerialDeviceProperties:
@@ -205,8 +206,8 @@ class TestMeshProperties:
 
 class TestMatchingDifferentialOracle:
     """The indexed MatchingEngine must be observationally identical to the
-    original O(n) LinearMatchingEngine on any interleaving of posts and
-    arrivals, wildcards included."""
+    original O(n) LinearMatchingEngine (tests/reference/linear_matching.py)
+    on any interleaving of posts and arrivals, wildcards included."""
 
     @given(st.lists(st.one_of(
         st.tuples(st.just("recv"),
@@ -218,8 +219,6 @@ class TestMatchingDifferentialOracle:
     ), min_size=1, max_size=60))
     @settings(max_examples=120, deadline=None)
     def test_indexed_matches_linear_oracle(self, ops):
-        from repro.mpi.matching import LinearMatchingEngine
-
         eng = Engine()
         indexed = MatchingEngine()
         linear = LinearMatchingEngine()
