@@ -184,11 +184,8 @@ class TAGASPI:
             if tr.enabled:
                 # producer-side causal edge: which task posted which
                 # notification (repro.perf follows it across ranks)
-                tr.instant("tagaspi", "op_submit", self.runtime.engine.now,
-                           rank=self.gaspi.rank, uid=task.uid, op=op,
-                           dest=params.get("dest"),
-                           seg=params.get("remote_seg"),
-                           notif_id=params.get("notif_id"))
+                tr.op_submit(self.gaspi.rank, task, op, params,
+                             self.runtime.engine.now)
         self.work.notify_work(nreq)
         self.stats_ops += 1
 
@@ -212,9 +209,8 @@ class TAGASPI:
             self.stats_notif_immediate += 1
             tr = self.runtime.engine.tracer
             if tr.enabled:
-                tr.instant("tagaspi", "notify_immediate", self.runtime.engine.now,
-                           rank=self.gaspi.rank, seg=seg_id, notif_id=notif_id,
-                           uid=task.uid)
+                tr.notify_immediate(self.gaspi.rank, task, seg_id, notif_id,
+                                    self.runtime.engine.now)
             return
         task.add_event(1)
         obj = self.pool.acquire().assign(seg_id, notif_id, out, task,
@@ -265,13 +261,7 @@ class TAGASPI:
                     uid = req.tag[0].uid if req.tag is not None else None
                     # submit -> local completion, plus the poller's
                     # detection delay (done_at -> this pass)
-                    tr.span("tagaspi", f"{req.op}.inflight",
-                            req.submitted_at, req.done_at,
-                            rank=self.gaspi.rank, queue=q, uid=uid)
-                    if now > req.done_at:
-                        tr.span("tagaspi", f"{req.op}.detect",
-                                req.done_at, now, rank=self.gaspi.rank,
-                                queue=q, uid=uid)
+                    tr.op_retired(self.gaspi.rank, req, q, uid, now)
                 retired += 1
         # (2) drain freshly registered pending notifications, then test all
         fresh = self.mpsc.drain()
@@ -292,10 +282,7 @@ class TAGASPI:
                 else:
                     obj.task.fulfill_event(1)
                 if tr.enabled:
-                    tr.instant("tagaspi", "notify_fulfilled", now,
-                               rank=self.gaspi.rank, seg=obj.seg_id,
-                               notif_id=obj.notif_id, uid=obj.task.uid,
-                               registered_at=obj.registered_at)
+                    tr.notify_fulfilled(self.gaspi.rank, obj, now)
                 self.pool.release(obj)
                 retired += 1
             self._pending_notifs = still

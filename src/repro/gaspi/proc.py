@@ -234,10 +234,8 @@ class GaspiRank:
         if tr.enabled:
             # submit span: API entry -> queue-device grant (lock contention
             # on the queue shows up as the span stretching past _c_op)
-            tr.span("gaspi", operation, now, grant.end, rank=self.rank,
-                    queue=queue, count=count, wait=grant.wait)
-            tr.counter("gaspi", f"q{queue}.depth", grant.end, float(q.depth),
-                       rank=self.rank)
+            tr.gaspi_submit(self.rank, operation, now, grant, queue, count,
+                            q.depth)
         return reqs
 
     def request_wait(
@@ -540,11 +538,7 @@ class GaspiRank:
         notification became visible in the destination segment."""
         tr = self.engine.tracer
         if tr.enabled:
-            tr.instant("gaspi", "notify_arrival", self.engine.now,
-                       rank=self.rank, src=msg.src_rank,
-                       seg=msg.meta["remote_seg"],
-                       notif_id=msg.meta["notif_id"],
-                       sent_at=msg.injected_at)
+            tr.notify_arrival(self.rank, msg, self.engine.now)
 
     # ------------------------------------------------------------------
     def _queue(self, queue: int, op: Optional[str] = None) -> GaspiQueue:

@@ -55,5 +55,5 @@ class GlobalLock:
         tr = self.engine.tracer
         if tr.enabled:
             now = self.engine.now if at is None else at
-            tr.span("mpi", op, now, grant.end, rank=self.rank, wait=grant.wait)
+            tr.mpi_call(self.rank, op, now, grant)
         return grant

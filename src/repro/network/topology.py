@@ -280,10 +280,7 @@ class Cluster:
 
             tr = eng.tracer
             if tr.enabled:
-                tr.span("net", f"{msg.protocol}.{msg.kind}", now, arrive,
-                        rank=msg.src_rank, dst=msg.dst_rank,
-                        nbytes=msg.nbytes, intra=True,
-                        local_done=local_done)
+                tr.wire_span(msg, now, arrive, True, local_done)
 
             ev = eng.event()
             ev.callbacks.append(self._deliver_event)
@@ -381,10 +378,8 @@ class Cluster:
             clock[chan] = arrive
             transit += arrive - msg.injected_at
             if tr.enabled:
-                tr.span("net", f"{msg.protocol}.{msg.kind}",
-                        msg.injected_at, arrive, rank=msg.src_rank,
-                        dst=msg.dst_rank, nbytes=msg.nbytes, intra=False,
-                        local_done=local_done)
+                tr.wire_span(msg, msg.injected_at, arrive, False,
+                             local_done)
             ev = new(Event)
             ev.engine = eng
             ev.callbacks = [self._deliver_event]
@@ -450,9 +445,7 @@ class Cluster:
         if tr.enabled:
             eid = self._edge_ids.pop(msg.uid, None)
             if eid is not None:
-                tr.instant("net", "msg_deliver", self.engine.now,
-                           rank=msg.dst_rank, src=msg.src_rank,
-                           protocol=msg.protocol, kind=msg.kind, eid=eid)
+                tr.msg_deliver(msg, eid, self.engine.now)
         handler = self._endpoints.get((msg.dst_rank, msg.protocol))
         if handler is None:
             raise SimulationError(

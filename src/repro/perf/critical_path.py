@@ -23,6 +23,8 @@ The walk is deterministic: all ties break on (time, rank, uid).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -70,9 +72,100 @@ class CriticalPath:
         return sum(s.dur for s in self.segments)
 
 
-def _tie_key(t: TaskInfo) -> Tuple[float, int, str, int]:
-    r = t.rank
-    return (t.completed, 0 if isinstance(r, int) else 1, str(r), t.uid)
+def _by_uid(uids: array) -> array:
+    """Row indices sorted by ``uids[row]``, rows of one uid in row order."""
+    return array("i", sorted(range(len(uids)), key=uids.__getitem__))
+
+
+def _rows_of(order: array, uids: array, uid: int) -> array:
+    key = uids.__getitem__
+    return order[bisect_left(order, uid, key=key):
+                 bisect_right(order, uid, key=key)]
+
+
+class _Graph:
+    """The task graph as the backward walk reads it from the model's
+    columns: a completed task's record, with the waits bound to it, is
+    built the first time the walk reaches it; per-rank indexes (waits by
+    uid, tasks by start time) the first time a rank needs one."""
+
+    def __init__(self, model: PerfModel) -> None:
+        self.model = model
+        self._done: Dict[Tuple[object, int], Optional[TaskInfo]] = {}
+        self._waits: Dict[object, Tuple[array, array]] = {}
+        self._running: Dict[object, Tuple[array, array]] = {}
+
+    def done(self, rank: object, uid: int) -> Optional[TaskInfo]:
+        """The completed task ``uid`` on ``rank``, or None."""
+        key = (rank, uid)
+        if key not in self._done:
+            tt = self.model.tasks.get(rank)
+            t = None
+            if tt is not None and uid in tt and tt.completed[uid] > 0.0:
+                t = tt.record(uid)
+                rv = self.model.ranks.get(rank)
+                if rv is not None:
+                    iw, nw = self._wait_index(rank, rv)
+                    t.mpi_waits = tuple(
+                        rv.iwaits.record(i)
+                        for i in _rows_of(iw, rv.iwaits.uid, uid))
+                    t.notify_waits = tuple(
+                        rv.notify_waits.record(rank, i)
+                        for i in _rows_of(nw, rv.notify_waits.uid, uid))
+            self._done[key] = t
+        return self._done[key]
+
+    def _wait_index(self, rank: object, rv) -> Tuple[array, array]:
+        got = self._waits.get(rank)
+        if got is None:
+            got = self._waits[rank] = (_by_uid(rv.iwaits.uid),
+                                       _by_uid(rv.notify_waits.uid))
+        return got
+
+    def tail(self) -> Tuple[Optional[TaskInfo], int]:
+        """The task that completed last (ties broken on rank, then uid)
+        and how many tasks completed."""
+        best, n = None, 0
+        for rank, tt in self.model.tasks.items():
+            tie = (0 if isinstance(rank, int) else 1, str(rank))
+            for uid, c in enumerate(tt.completed):
+                if c > 0.0:
+                    n += 1
+                    key = (c, *tie, uid)
+                    if best is None or key > best[0]:
+                        best = (key, rank, uid)
+        if best is None:
+            return None, 0
+        return self.done(best[1], best[2]), n
+
+    def last_pred(self, t: TaskInfo) -> Optional[TaskInfo]:
+        """The completed dependency predecessor of ``t`` that completed
+        last (ties broken on uid)."""
+        tt = self.model.tasks[t.rank]
+        best = max(((tt.completed[u], u) for u in t.preds
+                    if u in tt and tt.completed[u] > 0.0), default=None)
+        return None if best is None else self.done(t.rank, best[1])
+
+    def running_at(self, rank: object, t: float) -> Optional[TaskInfo]:
+        """The completed task on ``rank`` whose body covered sim time ``t``
+        (latest-starting one when worker lanes overlap); None if idle."""
+        tt = self.model.tasks.get(rank)
+        if tt is None:
+            return None
+        got = self._running.get(rank)
+        if got is None:
+            uids = array("i", sorted(
+                (u for u in tt.order if tt.completed[u] > 0.0),
+                key=lambda u: (tt.started[u], u)))
+            got = self._running[rank] = (
+                uids, array("d", (tt.started[u] for u in uids)))
+        uids, starts = got
+        i = bisect_right(starts, t) - 1
+        while i >= 0:
+            if tt.finished[uids[i]] >= t - 1e-12:
+                return self.done(rank, uids[i])
+            i -= 1
+        return None
 
 
 def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
@@ -109,15 +202,13 @@ def _classify_wait(task: TaskInfo, t0: float, t1: float, rank: object,
 
 
 def _task_path(model: PerfModel) -> CriticalPath:
-    done = model.completed_tasks
-    if not done:
+    graph = _Graph(model)
+    tail, n_done = graph.tail()
+    if tail is None:
         return CriticalPath([], model.makespan)
-    by_uid: Dict[Tuple[object, int], TaskInfo] = {
-        (t.rank, t.uid): t for t in done}
-    tail = max(done, key=_tie_key)
     segments: List[PathSegment] = []
     seen = set()
-    hops, limit = 0, 4 * len(done) + 16
+    hops, limit = 0, 4 * n_done + 16
     t: Optional[TaskInfo] = tail
     # when the path enters a task through a producer jump, ``cut`` truncates
     # its phases at the submit time of the operation that released the
@@ -165,14 +256,13 @@ def _task_path(model: PerfModel) -> CriticalPath:
         if bind_t is not None and (mb_t is None or bind_t >= mb_t):
             mbind = None
             if bind.producer_uid is not None:
-                prod = by_uid.get((bind.producer_rank, bind.producer_uid))
+                prod = graph.done(bind.producer_rank, bind.producer_uid)
         else:
             bind = None
         if bind is None and mbind is not None:
             # the sender's task was mid-body when it injected the message;
             # resume the walk there
-            prod = model.task_running_at(norm_rank(mbind.peer),
-                                         mbind.sent_at)
+            prod = graph.running_at(norm_rank(mbind.peer), mbind.sent_at)
             if prod is None:
                 mbind = None
         if prod is not None and bind is not None:
@@ -201,7 +291,7 @@ def _task_path(model: PerfModel) -> CriticalPath:
             # latency (the TAMPI analogue of notification detection)
             sent = mbind.sent_at
             peer = norm_rank(mbind.peer)
-            deliver = model.wire.get((peer, t.rank, mbind.tag, sent))
+            deliver = model.wire.get(peer, t.rank, mbind.tag, sent)
             if end > mb_t:
                 _classify_wait(t, mb_t, end, t.rank, segments)
             if deliver is not None and sent < deliver < mb_t:
@@ -231,9 +321,7 @@ def _task_path(model: PerfModel) -> CriticalPath:
             segments.append(PathSegment(anchor, sched_end, "sched", t.rank,
                                         detail=t.label))
         # jump to the dependency predecessor that completed last
-        preds = [by_uid[(t.rank, u)] for u in t.preds
-                 if (t.rank, u) in by_uid]
-        pred = max(preds, key=_tie_key) if preds else None
+        pred = graph.last_pred(t)
         dep_t = pred.completed if pred is not None else 0.0
         if pred is not None:
             if anchor > dep_t:
@@ -270,18 +358,18 @@ def _rank_timeline_path(model: PerfModel) -> CriticalPath:
     last_rank, last_t = None, -1.0
     for rank in model.sorted_ranks():
         rv = model.ranks[rank]
-        t = 0.0
-        for rec in rv.blocked + rv.mpi_calls + rv.compute:
-            t = max(t, rec.t1)
+        t = max([0.0, *(max(ends) for ends in (
+            rv.blocked.t1, rv.mpi_calls.t1, rv.compute.t1) if ends)])
         if t > last_t:
             last_rank, last_t = rank, t
     segments: List[PathSegment] = []
     if last_rank is None:
         return CriticalPath(segments, model.makespan)
     rv = model.ranks[last_rank]
-    comm = _union([(r.t0, r.t1) for r in rv.blocked + rv.mpi_calls])
-    compute = _union([(r.t0, r.t1) for r in rv.compute])
-    lock = sum(r.wait for r in rv.mpi_calls)
+    comm = _union([*zip(rv.blocked.t0, rv.blocked.t1),
+                   *zip(rv.mpi_calls.t0, rv.mpi_calls.t1)])
+    compute = _union(list(zip(rv.compute.t0, rv.compute.t1)))
+    lock = sum(rv.mpi_calls.wait)
     end = last_t
     events: List[PathSegment] = []
     for a, b in comm:

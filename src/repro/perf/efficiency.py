@@ -57,8 +57,8 @@ def _useful_seconds(model: PerfModel, rank: object) -> float:
     # MPI-only: union of compute spans (they never overlap on the single
     # core, but be safe against clamped edges)
     total, cur = 0.0, -1.0
-    for rec in sorted(rv.compute, key=lambda r: (r.t0, r.t1)):
-        a, b = max(rec.t0, cur), rec.t1
+    for t0, b in sorted(zip(rv.compute.t0, rv.compute.t1)):
+        a = max(t0, cur)
         if b > a:
             total += b - a
             cur = b

@@ -22,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.perf.model import PerfModel
+from repro.perf.model import KINDS, PerfModel
 
 WAIT_STATES = ("late_sender", "late_notification", "lock_wait",
                "poll_detection")
+
+_RECV = KINDS.index("recv")
 
 
 @dataclass
@@ -63,40 +65,42 @@ def classify_waits(model: PerfModel) -> List[RankWaits]:
         rv = model.ranks[rank]
         w = rw(rank)
         # -- late sender: blocking waits and TAMPI pending recvs that
-        # started before the matching message was injected
-        for rec in rv.blocked + rv.iwaits:
-            if rec.kind != "recv":
-                continue
-            sent_at = rec.sent_at
-            if sent_at is not None and sent_at > rec.t0:
-                w.late_sender += min(sent_at, rec.t1) - rec.t0
+        # started before the matching message was injected (a missing
+        # sent_at is NaN, which compares false)
+        for spans in (rv.blocked, rv.iwaits):
+            for kind, t0, t1, sent_at in zip(spans.kind, spans.t0, spans.t1,
+                                             spans.sent_at):
+                if kind == _RECV and sent_at > t0:
+                    w.late_sender += min(sent_at, t1) - t0
         # -- lock wait: MPI global-lock and GASPI queue-device waits
-        for rec in rv.mpi_calls:
-            w.lock_wait += rec.wait
-        for rec in rv.iwaits:
-            w.lock_wait += rec.lock_wait
+        for wait in rv.mpi_calls.wait:
+            w.lock_wait += wait
+        for wait in rv.iwaits.lock_wait:
+            w.lock_wait += wait
         for wait in rv.gaspi_waits:
             w.lock_wait += wait
         # -- notifications: registered-before-arrival is a late
         # notification; arrival-before-detection is polling delay
-        for nw in rv.notify_waits:
-            if nw.immediate:
+        nw = rv.notify_waits
+        for immediate, registered, fulfilled, arrival in zip(
+                nw.immediate, nw.registered_at, nw.fulfilled_at,
+                nw.arrival_at):
+            if immediate:
                 continue
-            if nw.arrival_at is not None:
-                if nw.arrival_at > nw.registered_at:
-                    w.late_notification += (min(nw.arrival_at, nw.fulfilled_at)
-                                            - nw.registered_at)
-                detect = nw.fulfilled_at - max(nw.arrival_at, nw.registered_at)
+            if arrival == arrival:  # not NaN: the arrival was traced
+                if arrival > registered:
+                    w.late_notification += (min(arrival, fulfilled)
+                                            - registered)
+                detect = fulfilled - max(arrival, registered)
                 if detect > 0.0:
                     w.poll_detection += detect
             else:
                 # no arrival record: count the whole pending window as
                 # notification wait (conservative)
-                w.late_notification += max(
-                    0.0, nw.fulfilled_at - nw.registered_at)
+                w.late_notification += max(0.0, fulfilled - registered)
         # -- poller detection delay on RMA request completion
-        for rec in rv.detects:
-            w.poll_detection += rec.t1 - rec.t0
+        for t0, t1 in zip(rv.detects.t0, rv.detects.t1):
+            w.poll_detection += t1 - t0
 
     return [out[r] for r in sorted(out, key=lambda r:
                                    (not isinstance(r, int), str(r)))]

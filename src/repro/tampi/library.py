@@ -116,10 +116,8 @@ class TAMPI:
                 if tr.enabled:
                     # iwait registration -> completion detection at the lock
                     # grant (includes the poller's lock wait, §VI-C)
-                    tr.span("tampi", "iwait.pending", registered_at, grant.end,
-                            rank=self.mpi.rank, task=task.label, uid=task.uid,
-                            kind=req.kind, peer=req.peer, tag=req.tag,
-                            sent_at=req.sent_at, lock_wait=grant.wait)
+                    tr.iwait_pending(self.mpi.rank, task, req, registered_at,
+                                     grant)
             else:
                 still.append((req, task, is_pre, registered_at))
         self._pending = still

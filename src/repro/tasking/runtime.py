@@ -125,9 +125,7 @@ class Runtime:
         if tr.enabled:
             preds: List[Task] = []
             added = self.deps.register(task, preds)
-            tr.instant("tasking", "task_submit", self.engine.now,
-                       rank=self.name, task=task.label, uid=task.uid,
-                       preds=tuple(p.uid for p in preds))
+            tr.task_submit(self, task, preds)
         else:
             added = self.deps.register(task)
         task.remaining_deps = added
@@ -227,8 +225,7 @@ class Runtime:
             t0 = self._blocked_at.pop(task.uid, None)
             if t0 is not None:
                 # execution delayed by onready-registered events (§V-A)
-                tr.span("tasking", "onready_wait", t0, self.engine.now,
-                        rank=self.name, task=task.label, uid=task.uid)
+                tr.onready_wait(self, task, t0)
         self._ready.push(task, high=task.priority)
 
     def _complete(self, task: Task) -> None:
@@ -243,9 +240,7 @@ class Runtime:
         if tr.enabled and task.completed_at > task.finished_at:
             # body returned but external events held completion (grey tasks
             # of the paper's Fig. 1)
-            tr.span("tasking", "event_wait", task.finished_at,
-                    task.completed_at, rank=self.name, task=task.label,
-                    uid=task.uid)
+            tr.event_wait(self, task)
         if tr.enabled:
             tr.task_done(self, task)
         st = self.stats

@@ -100,9 +100,7 @@ class Worker:
             task.started_at = eng.now
             tr = eng.tracer
             if tr.enabled and eng.now > task.ready_at:
-                tr.span("tasking", "ready_wait", task.ready_at, eng.now,
-                        rank=rt.name, lane=self.lane,
-                        task=task.label, uid=task.uid)
+                tr.ready_wait(self, task)
         else:
             task.state = TaskState.RUNNING
             task.suspended_time += eng.now - task._suspend_started

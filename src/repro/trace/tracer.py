@@ -90,8 +90,32 @@ class Tracer:
                         {"value": value})
         )
 
-    # typed emits (the hottest sites): the base implementation *is* the
-    # generic record; a subclass may read the objects' slots instead
+    # typed emits (every site that fires once per task or per message):
+    # the base implementation *is* the generic record; a subclass may read
+    # the objects' slots instead
+    def task_submit(self, runtime, task, preds) -> None:
+        """``task`` was submitted now; ``preds`` are the tasks it waits on."""
+        self.instant("tasking", "task_submit", runtime.engine.now,
+                     rank=runtime.name, task=task.label, uid=task.uid,
+                     preds=tuple(p.uid for p in preds))
+
+    def ready_wait(self, worker, task) -> None:
+        """``task`` starts on ``worker`` now, after waiting since ready."""
+        self.span("tasking", "ready_wait", task.ready_at, worker.engine.now,
+                  rank=worker.runtime.name, lane=worker.lane,
+                  task=task.label, uid=task.uid)
+
+    def onready_wait(self, runtime, task, t0: float) -> None:
+        """``task`` is ready now; its onready events held it since ``t0``."""
+        self.span("tasking", "onready_wait", t0, runtime.engine.now,
+                  rank=runtime.name, task=task.label, uid=task.uid)
+
+    def event_wait(self, runtime, task) -> None:
+        """External events held ``task``'s completion past its body."""
+        self.span("tasking", "event_wait", task.finished_at,
+                  task.completed_at, rank=runtime.name, task=task.label,
+                  uid=task.uid)
+
     def task_on_core(self, worker, task, t0: float, outcome: str) -> None:
         """One on-core interval of ``task`` on ``worker``, ending now."""
         self.span("tasking", task.label, t0, worker.engine.now,
@@ -106,6 +130,70 @@ class Tracer:
                      started=task.started_at, finished=task.finished_at,
                      cpu=task.cpu_time)
 
+    def mpi_call(self, rank: int, op: str, t0: float, grant) -> None:
+        """One MPI library call on ``rank``: lock wait plus hold."""
+        self.span("mpi", op, t0, grant.end, rank=rank, wait=grant.wait)
+
+    def iwait_pending(self, rank: int, task, req, t0: float, grant) -> None:
+        """TAMPI detected ``req`` (bound to ``task`` since ``t0``) at the
+        lock grant."""
+        self.span("tampi", "iwait.pending", t0, grant.end, rank=rank,
+                  task=task.label, uid=task.uid, kind=req.kind,
+                  peer=req.peer, tag=req.tag, sent_at=req.sent_at,
+                  lock_wait=grant.wait)
+
+    def op_submit(self, rank: int, task, op: str, params: dict,
+                  t: float) -> None:
+        """``task`` posted a notifying TAGASPI operation."""
+        self.instant("tagaspi", "op_submit", t, rank=rank, uid=task.uid,
+                     op=op, dest=params.get("dest"),
+                     seg=params.get("remote_seg"),
+                     notif_id=params.get("notif_id"))
+
+    def notify_immediate(self, rank: int, task, seg: int, notif_id: int,
+                         t: float) -> None:
+        """``task``'s notification wait found it already arrived."""
+        self.instant("tagaspi", "notify_immediate", t, rank=rank, seg=seg,
+                     notif_id=notif_id, uid=task.uid)
+
+    def op_retired(self, rank: int, req, queue: int, uid, now: float) -> None:
+        """The TAGASPI poller retired ``req`` now: its submit-to-completion
+        span and, when detection came later, the detection delay."""
+        self.span("tagaspi", f"{req.op}.inflight", req.submitted_at,
+                  req.done_at, rank=rank, queue=queue, uid=uid)
+        if now > req.done_at:
+            self.span("tagaspi", f"{req.op}.detect", req.done_at, now,
+                      rank=rank, queue=queue, uid=uid)
+
+    def notify_fulfilled(self, rank: int, pending, t: float) -> None:
+        """The TAGASPI poller found ``pending``'s notification."""
+        self.instant("tagaspi", "notify_fulfilled", t, rank=rank,
+                     seg=pending.seg_id, notif_id=pending.notif_id,
+                     uid=pending.task.uid,
+                     registered_at=pending.registered_at)
+
+    def gaspi_submit(self, rank: int, operation: str, t0: float, grant,
+                     queue: int, count: int, depth: int) -> None:
+        """A GASPI submission from API entry to the queue-device grant,
+        then the queue's depth."""
+        self.span("gaspi", operation, t0, grant.end, rank=rank, queue=queue,
+                  count=count, wait=grant.wait)
+        self.counter("gaspi", f"q{queue}.depth", grant.end, float(depth),
+                     rank=rank)
+
+    def notify_arrival(self, rank: int, msg, t: float) -> None:
+        """``msg``'s notification landed in ``rank``'s segment now."""
+        self.instant("gaspi", "notify_arrival", t, rank=rank,
+                     src=msg.src_rank, seg=msg.meta["remote_seg"],
+                     notif_id=msg.meta["notif_id"], sent_at=msg.injected_at)
+
+    def wire_span(self, msg, t0: float, t1: float, intra: bool,
+                  local_done: float) -> None:
+        """``msg`` on the wire from ``t0`` to its arrival ``t1``."""
+        self.span("net", f"{msg.protocol}.{msg.kind}", t0, t1,
+                  rank=msg.src_rank, dst=msg.dst_rank, nbytes=msg.nbytes,
+                  intra=intra, local_done=local_done)
+
     def msg_send(self, msg, eid: int, t: float) -> None:
         """``msg`` was injected at ``t``; ``eid`` is its cluster-local
         edge id, which the matching ``msg_deliver`` instant repeats."""
@@ -118,6 +206,12 @@ class Tracer:
         self.instant("net", "msg_send", t, rank=msg.src_rank,
                      dst=msg.dst_rank, protocol=msg.protocol, kind=msg.kind,
                      nbytes=msg.nbytes, eid=eid, **extra)
+
+    def msg_deliver(self, msg, eid: int, t: float) -> None:
+        """``msg`` (edge ``eid``) was delivered at ``t``."""
+        self.instant("net", "msg_deliver", t, rank=msg.dst_rank,
+                     src=msg.src_rank, protocol=msg.protocol, kind=msg.kind,
+                     eid=eid)
 
     # ------------------------------------------------------------------
     # queries (used by tests, the text exporter, and the CLI)
@@ -136,17 +230,6 @@ class Tracer:
         for rec in self.records:
             seen.setdefault(rec.category, None)
         return list(seen)
-
-    def total_time(self, category: str) -> float:
-        """Summed duration of all spans in ``category``."""
-        return sum(r.t1 - r.t0 for r in self.spans(category))
-
-    def time_by_category(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for rec in self.records:
-            if rec.kind == "span":
-                out[rec.category] = out.get(rec.category, 0.0) + (rec.t1 - rec.t0)
-        return out
 
 
 class _NullTracer(Tracer):

@@ -29,7 +29,7 @@ from repro.perf import (
     model_from_chrome,
     model_from_tracer,
 )
-from repro.perf.model import PerfTracer, norm_rank
+from repro.perf.model import NO_INT, NotifyWait, PerfTracer, norm_rank
 from repro.trace import TraceRecord, Tracer, chrome_trace, write_chrome_trace
 
 MACH4 = MARENOSTRUM4.with_cores(4)
@@ -134,8 +134,10 @@ class TestPerfModel:
     def test_notify_waits_join_producers(self, tagaspi_trace):
         _, tracer = tagaspi_trace
         model = model_from_tracer(tracer)
-        waits = [w for rv in model.ranks.values() for w in rv.notify_waits
-                 if not w.immediate]
+        waits = [rv.notify_waits.record(rank, i)
+                 for rank, rv in model.ranks.items()
+                 for i in range(len(rv.notify_waits))]
+        waits = [w for w in waits if not w.immediate]
         assert waits
         joined = [w for w in waits if w.producer_uid is not None]
         assert joined
@@ -143,13 +145,16 @@ class TestPerfModel:
             assert w.arrival_at is not None
             assert w.submit_at <= w.arrival_at <= w.fulfilled_at + 1e-12
             # the producer resolves to a real completed task
-            assert (w.producer_rank, w.producer_uid) in model.tasks
+            producers = model.tasks[w.producer_rank]
+            assert w.producer_uid in producers
+            assert producers.completed[w.producer_uid] > 0.0
 
     def test_chrome_round_trip_gives_same_model(self, tagaspi_trace):
         _, tracer = tagaspi_trace
         m1 = model_from_tracer(tracer)
         m2 = model_from_chrome(chrome_trace(tracer))
-        assert sorted(m1.tasks) == sorted(m2.tasks)
+        assert ({r: sorted(tt.order) for r, tt in m1.tasks.items()}
+                == {r: sorted(tt.order) for r, tt in m2.tasks.items()})
         assert m1.sorted_ranks() == m2.sorted_ranks()
         assert m1.makespan == pytest.approx(m2.makespan, rel=1e-9)
 
@@ -321,13 +326,14 @@ def _reachable(root):
 
 
 def _kept(model):
-    """docs/perf.md's table, counted: compact span entries per rank, wire
-    keys, joined notification waits and tasks."""
+    """docs/perf.md's table, counted: span rows per rank, wire keys,
+    joined notification waits and tasks."""
     spans = sum(len(bucket) for rv in model.ranks.values()
                 for bucket in (rv.blocked, rv.mpi_calls, rv.compute,
                                rv.gaspi_waits, rv.detects, rv.iwaits))
     waits = sum(len(rv.notify_waits) for rv in model.ranks.values())
-    return spans, len(model.wire), waits, len(model.tasks)
+    tasks = sum(len(tt.order) for tt in model.tasks.values())
+    return spans, len(model.wire), waits, tasks
 
 
 class TestOneBuilderTwoFeeds:
@@ -388,10 +394,10 @@ class TestOneBuilderTwoFeeds:
                     if isinstance(d, dict) and any(isinstance(k, str)
                                                    for k in d)
                     and not any(d is a for a in attrs)]
-        # a task's mpi_waits are the very objects in its rank's iwaits
-        for t in model.tasks.values():
-            iwaits = model.ranks[t.rank].iwaits if t.mpi_waits else ()
-            assert all(any(r is w for w in iwaits) for r in t.mpi_waits)
+        # every uid a rank's iwait rows name is a task of that rank
+        for rank, rv in model.ranks.items():
+            assert all(u == NO_INT or u in model.tasks[rank]
+                       for u in rv.iwaits.uid)
         # the recording twin replays into the same compact entries
         _, recording = gs_trace("tagaspi", perf=True)
         replayed = model_from_tracer(recording)
@@ -399,11 +405,26 @@ class TestOneBuilderTwoFeeds:
         assert model.wire == replayed.wire
         assert model.tasks == replayed.tasks
         # pinned: of the 990 records this job emits, the model keeps 120
-        # span entries (40 gaspi submission waits, 80 detect intervals), no
+        # span rows (40 gaspi submission waits, 80 detect intervals), no
         # wire key (GASPI messages carry no tag; the 40 arrivals and 40
         # submits are folded into 32 notification waits), and 104 tasks
         assert _kept(model) + (len(recording.records),) == \
             (120, 0, 32, 104, 990)
+
+    def test_kept_objects_do_not_grow_with_tasks(self):
+        """The model is columns, not objects: after a TAMPI job at two and
+        at four timesteps (twice the tasks, iwaits and MPI calls), the
+        objects reachable from its PerfTracer are as many."""
+        kept, reachable = [], []
+        for steps in (2, 4):
+            tracer = PerfTracer()
+            gs_trace("tampi", steps=steps, tracer=tracer)
+            model = model_from_tracer(tracer)
+            kept.append(_kept(model))
+            reachable.append(len(_reachable(tracer)))
+        (spans2, _, _, tasks2), (spans4, _, _, tasks4) = kept
+        assert tasks4 > 1.8 * tasks2 and spans4 > 1.8 * spans2
+        assert reachable[1] == reachable[0]
 
     def test_finish_is_idempotent(self):
         _, tracer = gs_trace("tagaspi", tracer=PerfTracer())
@@ -423,35 +444,115 @@ class TestOneBuilderTwoFeeds:
 
     def test_typed_emits_are_the_generic_records(self):
         """A typed emit's base implementation is the generic record: all
-        eight fields, args key order included."""
+        eight fields, args key order included; and the PerfTracer override
+        leaves the model state the replay of those records does."""
         from types import SimpleNamespace as NS
+
+        from repro.network.message import Message
+        from repro.perf.model import model_from_records
 
         engine = NS(now=2.5)
         runtime = NS(name="rank3", engine=engine)
         worker = NS(runtime=runtime, engine=engine, lane="w1")
         task = NS(label="halo", uid=17, created_at=0.5, ready_at=1.0,
-                  started_at=1.5, finished_at=2.0, cpu_time=0.25)
+                  started_at=1.5, finished_at=2.0, completed_at=2.5,
+                  cpu_time=0.25)
+        grant = NS(end=2.25, wait=0.125)
+        req = NS(kind="recv", peer=1, tag=7, sent_at=0.75)
+        late = NS(op="write_notify", submitted_at=1.0, done_at=1.75)
+        prompt = NS(op="write", submitted_at=2.0, done_at=2.5)
+        pending = NS(seg_id=0, notif_id=5, task=task, registered_at=1.25)
+        notify = Message(1, 3, "gaspi", "notify", 8,
+                         meta={"remote_seg": 0, "notif_id": 5})
+        notify.injected_at = 1.5
+        tagged = Message(1, 3, "mpi", "eager", 64, meta={"tag": 7})
+        params = {"dest": 3, "remote_seg": 0, "notif_id": 5, "size": 8}
+
+        def emit(tr):
+            tr.task_submit(runtime, task, [NS(uid=4), NS(uid=9)])
+            tr.ready_wait(worker, task)
+            tr.onready_wait(runtime, task, 0.75)
+            tr.event_wait(runtime, task)
+            tr.task_on_core(worker, task, 1.5, "sleep")
+            tr.task_done(runtime, task)
+            tr.mpi_call(3, "testsome", 2.0, grant)
+            tr.iwait_pending(3, task, req, 1.25, grant)
+            tr.op_submit(3, task, "write_notify", params, 1.0)
+            tr.notify_immediate(3, task, 0, 4, 2.5)
+            tr.op_retired(3, late, 1, 17, 2.5)
+            tr.op_retired(3, prompt, 0, None, 2.5)
+            tr.notify_fulfilled(3, pending, 2.5)
+            tr.gaspi_submit(3, "write_notify", 1.0, grant, 1, 8, 2)
+            tr.notify_arrival(3, notify, 2.0)
+            tr.wire_span(notify, 1.5, 2.0, False, 1.625)
+            tr.msg_send(tagged, 8, 1.5)
+            tr.msg_deliver(tagged, 8, 2.0)
+
         typed, generic = Tracer(), Tracer()
-        typed.task_on_core(worker, task, 1.5, "sleep")
+        emit(typed)
+        generic.instant("tasking", "task_submit", 2.5, rank="rank3",
+                        task="halo", uid=17, preds=(4, 9))
+        generic.span("tasking", "ready_wait", 1.0, 2.5, rank="rank3",
+                     lane="w1", task="halo", uid=17)
+        generic.span("tasking", "onready_wait", 0.75, 2.5, rank="rank3",
+                     task="halo", uid=17)
+        generic.span("tasking", "event_wait", 2.0, 2.5, rank="rank3",
+                     task="halo", uid=17)
         generic.span("tasking", "halo", 1.5, 2.5, rank="rank3", lane="w1",
                      uid=17, outcome="sleep")
-        typed.task_done(runtime, task)
         generic.instant("tasking", "task_done", 2.5, rank="rank3",
                         task="halo", uid=17, created=0.5, ready=1.0,
                         started=1.5, finished=2.0, cpu=0.25)
+        generic.span("mpi", "testsome", 2.0, 2.25, rank=3, wait=0.125)
+        generic.span("tampi", "iwait.pending", 1.25, 2.25, rank=3,
+                     task="halo", uid=17, kind="recv", peer=1, tag=7,
+                     sent_at=0.75, lock_wait=0.125)
+        generic.instant("tagaspi", "op_submit", 1.0, rank=3, uid=17,
+                        op="write_notify", dest=3, seg=0, notif_id=5)
+        generic.instant("tagaspi", "notify_immediate", 2.5, rank=3, seg=0,
+                        notif_id=4, uid=17)
+        generic.span("tagaspi", "write_notify.inflight", 1.0, 1.75, rank=3,
+                     queue=1, uid=17)
+        generic.span("tagaspi", "write_notify.detect", 1.75, 2.5, rank=3,
+                     queue=1, uid=17)
+        generic.span("tagaspi", "write.inflight", 2.0, 2.5, rank=3,
+                     queue=0, uid=None)
+        generic.instant("tagaspi", "notify_fulfilled", 2.5, rank=3, seg=0,
+                        notif_id=5, uid=17, registered_at=1.25)
+        generic.span("gaspi", "write_notify", 1.0, 2.25, rank=3, queue=1,
+                     count=8, wait=0.125)
+        generic.counter("gaspi", "q1.depth", 2.25, 2.0, rank=3)
+        generic.instant("gaspi", "notify_arrival", 2.0, rank=3, src=1,
+                        seg=0, notif_id=5, sent_at=1.5)
+        generic.span("net", "gaspi.notify", 1.5, 2.0, rank=1, dst=3,
+                     nbytes=8, intra=False, local_done=1.625)
+        generic.instant("net", "msg_send", 1.5, rank=1, dst=3,
+                        protocol="mpi", kind="eager", nbytes=64, eid=8,
+                        tag=7)
+        generic.instant("net", "msg_deliver", 2.0, rank=3, src=1,
+                        protocol="mpi", kind="eager", eid=8)
         assert typed.records == generic.records
         assert ([list(r.args) for r in typed.records]
                 == [list(r.args) for r in generic.records])
         # and the PerfTracer overrides feed the same model state
         online = PerfTracer()
-        online.task_on_core(worker, task, 1.5, "sleep")
-        online.task_done(runtime, task)
-        from repro.perf.model import model_from_records
-
+        emit(online)
+        assert online.records == []
+        model = online.model.finish()
         replayed = model_from_records(typed.records)
-        assert online.model.finish().tasks == replayed.tasks
-        assert online.model.ranks == replayed.ranks
-        assert online.model.makespan == replayed.makespan == 2.5
+        assert model.tasks == replayed.tasks
+        assert model.ranks == replayed.ranks
+        assert model.wire == replayed.wire
+        assert model.makespan == replayed.makespan == 2.5
+        assert _kept(model) == (4, 1, 2, 1)
+        assert model.tasks[3].record(17).preds == (4, 9)
+        assert model.ranks[3].lanes == {"w1"}
+        assert list(model.wire.rows()) == [(1, 3, 7, 1.5, 2.0)]
+        nw = model.ranks[3].notify_waits
+        assert nw.record(3, 1) == NotifyWait(
+            3, 0, 5, 17, 1.25, 2.5, arrival_at=2.0, sent_at=1.5,
+            producer_rank=3, producer_uid=17, submit_at=1.0)
+        assert nw.record(3, 0).immediate
 
     def test_typed_msg_send_is_the_generic_record(self):
         """``Tracer.msg_send`` records what ``Cluster.send`` used to build
@@ -482,8 +583,9 @@ class TestOneBuilderTwoFeeds:
                                 9.0 + eid, 9.0 + eid, {"eid": eid})
                     for eid in range(len(metas))]
         replayed = model_from_records(typed.records + delivers)
-        assert online.model.finish().wire == replayed.wire == {
-            (1, 4, 3, 1.5): 9.0, (1, 4, 4, 3.5): 11.0}
+        assert online.model.finish().wire == replayed.wire
+        assert list(replayed.wire.rows()) == [(1, 4, 3, 1.5, 9.0),
+                                              (1, 4, 4, 3.5, 11.0)]
         assert online.model.makespan == replayed.makespan == 13.0
 
 

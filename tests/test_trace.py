@@ -49,8 +49,6 @@ class TestTracerAPI:
         assert sorted(tr.categories()) == ["gaspi", "mpi", "net", "sim"]
         spans = list(tr.spans("mpi"))
         assert len(spans) == 1 and spans[0].args["nbytes"] == 64
-        assert tr.total_time("mpi") == pytest.approx(1.0)
-        assert tr.time_by_category()["net"] == pytest.approx(1.5)
 
     def test_reversed_span_rejected(self):
         tr = Tracer()
