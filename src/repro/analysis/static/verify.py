@@ -8,8 +8,10 @@ in deterministic order and returns findings sorted by
 ``(path, line, col, rule)``.
 
 Task-body detection follows the repo-wide conventions: a function whose
-first parameter is named ``task`` (the ``body(task)`` / ``onready(task)``
-shape the tasking runtime calls), or a function passed by name as the
+first or last positional parameter is named ``task`` (the ``body(task)``
+/ ``onready(task)`` shape the tasking runtime calls, or a shared body
+such as ``def send(self, t, j, task)`` whose leading arguments are bound
+with :func:`functools.partial`), or a function passed by name as the
 first argument of a ``.submit(...)`` / ``.spawn_independent(...)`` call.
 
 Suppression is by *comment token*, not raw substring — an
@@ -78,7 +80,7 @@ def _collect_functions(tree: ast.Module) -> List[FunctionInfo]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{child.name}"
                 args = child.args.posonlyargs + child.args.args
-                is_task = ((bool(args) and args[0].arg == "task")
+                is_task = ((bool(args) and "task" in (args[0].arg, args[-1].arg))
                            or child.name in submitted)
                 infos.append(FunctionInfo(
                     child, qual, build_cfg(child.body), is_task))

@@ -18,6 +18,7 @@ direction UP carries (step+1, block column).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -151,13 +152,17 @@ def mpi_only_main(job: Job, params: GSParams, st: RankStorage):
 def _hybrid_main(job: Job, params: GSParams, st: RankStorage, comm):
     """Build the per-timestep task graph on one rank.
 
-    ``comm`` provides variant-specific pieces::
+    ``comm`` provides the variant-specific task bodies, each called as
+    ``body(t, j, task)`` with ``(t, j)`` bound by :func:`functools.partial`::
 
-        comm.setup(main-generator-context)          # pre-loop exchange
-        comm.recv_top_task(t, j)  -> body           # fills halo_top[j]
-        comm.recv_bottom_task(t, j) -> body
-        comm.send_down_task(t, j) -> body           # sends last block row
-        comm.send_up_task(t, j) -> body             # sends first block row
+        comm.recv_top(t, j, task)      # fills halo_top[j] for step t
+        comm.recv_bottom(t, j, task)   # fills halo_bottom[j] for step t
+        comm.send_down(t, j, task)     # sends last block row of step t
+        comm.send_up(t, j, task)       # sends first block row for step t+1
+
+    The initial upward exchange is ``send_up`` of step -1. Every
+    dependency tuple and every compute body is built once, before the
+    timestep loop: the graph is the same each step.
     """
     rt = job.runtimes[st.rank]
     machine = job.spec.machine
@@ -169,59 +174,69 @@ def _hybrid_main(job: Job, params: GSParams, st: RankStorage, comm):
     rows_of = [
         (i * bs, min((i + 1) * bs, st.local_rows)) for i in range(nbi)
     ]
+    costs = [block_compute_cost(machine, i1 - i0, bs) for i0, i1 in rows_of]
     noisy = _noise_fn(job, st.rank)
 
-    def compute_body(t, i, j):
-        i0, i1 = rows_of[i]
-        j0, j1 = j * bs, (j + 1) * bs
-        m = i1 - i0
-        cost = block_compute_cost(machine, m, bs)
+    def compute(i, j, task):
+        if params.compute_data:
+            i0, i1 = rows_of[i]
+            j0, j1 = j * bs, (j + 1) * bs
+            m = i1 - i0
+            A = st.local
+            top = st.halo_top[j0:j1] if i == 0 else A[i0 - 1, j0:j1]
+            bottom = st.halo_bottom[j0:j1] if i == nbi - 1 else A[i1, j0:j1].copy()
+            left = A[i0:i1, j0 - 1] if j > 0 else st.side_zeros[:m]
+            right = (A[i0:i1, j1].copy() if j1 < cols else st.side_zeros[:m])
+            gs_sweep_block(A[i0:i1, j0:j1], top, bottom, left, right)
+        task.charge(noisy(costs[i]))
 
-        def body(task):
-            if params.compute_data:
-                A = st.local
-                top = st.halo_top[j0:j1] if i == 0 else A[i0 - 1, j0:j1]
-                bottom = st.halo_bottom[j0:j1] if i == nbi - 1 else A[i1, j0:j1].copy()
-                left = A[i0:i1, j0 - 1] if j > 0 else st.side_zeros[:m]
-                right = (A[i0:i1, j1].copy() if j1 < cols else st.side_zeros[:m])
-                gs_sweep_block(A[i0:i1, j0:j1], top, bottom, left, right)
-            task.charge(noisy(cost))
+    def block_deps(i, j):
+        deps = [InOut(("b", i, j))]
+        deps.append(In(("ht", j)) if i == 0 else In(("b", i - 1, j)))
+        deps.append(In(("hb", j)) if i == nbi - 1 else In(("b", i + 1, j)))
+        if j > 0:
+            deps.append(In(("b", i, j - 1)))
+        if j < nbj - 1:
+            deps.append(In(("b", i, j + 1)))
+        return tuple(deps)
 
-        return body
+    computes = [[(partial(compute, i, j), block_deps(i, j)) for j in range(nbj)]
+                for i in range(nbi)]
+    top_deps = [(Out(("ht", j)),) for j in range(nbj)]
+    bottom_deps = [(Out(("hb", j)),) for j in range(nbj)]
+    first_row_deps = [(In(("b", 0, j)),) for j in range(nbj)]
+    last_row_deps = [(In(("b", nbi - 1, j)),) for j in range(nbj)]
+    recv_top, recv_bottom = comm.recv_top, comm.recv_bottom
+    send_up, send_down = comm.send_up, comm.send_down
 
     def main(rt):
-        yield from comm.setup(rt)
         eng = rt.engine
+        if st.has_upper:
+            # my first row is my upper neighbour's step-0 bottom halo
+            for j in range(nbj):
+                rt.submit(partial(send_up, -1, j), first_row_deps[j],
+                          label="send_up")
         for t in range(params.timesteps):
             for j in range(nbj):
                 if st.has_upper:
-                    rt.submit(comm.recv_top_task(t, j), [Out(("ht", j))],
+                    rt.submit(partial(recv_top, t, j), top_deps[j],
                               label="recv_top")
                 if st.has_lower:
-                    rt.submit(comm.recv_bottom_task(t, j), [Out(("hb", j))],
+                    rt.submit(partial(recv_bottom, t, j), bottom_deps[j],
                               label="recv_bottom")
             for i in range(nbi):
-                for j in range(nbj):
-                    deps = [InOut(("b", i, j))]
-                    deps.append(In(("ht", j)) if i == 0 else In(("b", i - 1, j)))
-                    deps.append(In(("hb", j)) if i == nbi - 1 else In(("b", i + 1, j)))
-                    if j > 0:
-                        deps.append(In(("b", i, j - 1)))
-                    if j < nbj - 1:
-                        deps.append(In(("b", i, j + 1)))
-                    rt.submit(compute_body(t, i, j), deps, label="compute")
+                for body, deps in computes[i]:
+                    rt.submit(body, deps, label="compute")
                 # boundary-row sends, submitted right after the block row
                 # that produces them so they can start as soon as possible
                 if i == 0 and st.has_upper:
                     for j in range(nbj):
-                        rt.submit(comm.send_up_task(t, j), [In(("b", 0, j))],
-                                  label="send_up",
-                                  onready=comm.send_up_onready(t, j))
+                        rt.submit(partial(send_up, t, j), first_row_deps[j],
+                                  label="send_up")
                 if i == nbi - 1 and st.has_lower:
                     for j in range(nbj):
-                        rt.submit(comm.send_down_task(t, j),
-                                  [In(("b", nbi - 1, j))], label="send_down",
-                                  onready=comm.send_down_onready(t, j))
+                        rt.submit(partial(send_down, t, j), last_row_deps[j],
+                                  label="send_down")
             yield from rt.flush()
             if rt.outstanding > _WINDOW_HIGH:
                 while rt.outstanding > _WINDOW_LOW:
@@ -240,73 +255,35 @@ class TampiGSComm:
     """Two-sided communication tasks using TAMPI_Iwait (paper §VI-A)."""
 
     def __init__(self, job: Job, params: GSParams, st: RankStorage):
-        self.job = job
-        self.params = params
         self.st = st
         self.mpi = job.mpi.rank(st.rank)
         self.tampi = job.tampi[st.rank]
         self.bs = params.block_size
         self.nbj = params.cols // params.block_size
 
-    def setup(self, rt):
-        # initial upward exchange as a task so it overlaps
+    def recv_top(self, t, j, task):
         st, bs = self.st, self.bs
-        if st.has_upper:
-            for j in range(self.nbj):
-                def body(task, j=j):
-                    req = self.mpi.isend(
-                        st.first_row()[j * bs : (j + 1) * bs],
-                        st.rank - 1, _tag(0, 1, j, self.nbj))
-                    self.tampi.iwait(req)
-                rt.submit(body, [In(("b", 0, j))], label="send_up")
-        return
-        yield  # pragma: no cover - make this a generator
+        req = self.mpi.irecv(st.halo_top[j * bs : (j + 1) * bs],
+                             st.rank - 1, _tag(t, 0, j, self.nbj))
+        self.tampi.iwait(req)
 
-    def recv_top_task(self, t, j):
+    def recv_bottom(self, t, j, task):
         st, bs = self.st, self.bs
+        req = self.mpi.irecv(st.halo_bottom[j * bs : (j + 1) * bs],
+                             st.rank + 1, _tag(t, 1, j, self.nbj))
+        self.tampi.iwait(req)
 
-        def body(task):
-            req = self.mpi.irecv(st.halo_top[j * bs : (j + 1) * bs],
-                                 st.rank - 1, _tag(t, 0, j, self.nbj))
-            self.tampi.iwait(req)
-
-        return body
-
-    def recv_bottom_task(self, t, j):
+    def send_down(self, t, j, task):
         st, bs = self.st, self.bs
+        req = self.mpi.isend(st.last_row()[j * bs : (j + 1) * bs],
+                             st.rank + 1, _tag(t, 0, j, self.nbj))
+        self.tampi.iwait(req)
 
-        def body(task):
-            req = self.mpi.irecv(st.halo_bottom[j * bs : (j + 1) * bs],
-                                 st.rank + 1, _tag(t, 1, j, self.nbj))
-            self.tampi.iwait(req)
-
-        return body
-
-    def send_down_task(self, t, j):
+    def send_up(self, t, j, task):
         st, bs = self.st, self.bs
-
-        def body(task):
-            req = self.mpi.isend(st.last_row()[j * bs : (j + 1) * bs],
-                                 st.rank + 1, _tag(t, 0, j, self.nbj))
-            self.tampi.iwait(req)
-
-        return body
-
-    def send_up_task(self, t, j):
-        st, bs = self.st, self.bs
-
-        def body(task):
-            req = self.mpi.isend(st.first_row()[j * bs : (j + 1) * bs],
-                                 st.rank - 1, _tag(t + 1, 1, j, self.nbj))
-            self.tampi.iwait(req)
-
-        return body
-
-    def send_up_onready(self, t, j):
-        return None
-
-    def send_down_onready(self, t, j):
-        return None
+        req = self.mpi.isend(st.first_row()[j * bs : (j + 1) * bs],
+                             st.rank - 1, _tag(t + 1, 1, j, self.nbj))
+        self.tampi.iwait(req)
 
 
 # ======================================================================
@@ -325,69 +302,35 @@ class TagaspiGSComm:
     """
 
     def __init__(self, job: Job, params: GSParams, st: RankStorage):
-        self.job = job
-        self.params = params
         self.st = st
         self.gaspi = job.gaspi.rank(st.rank)
         self.tagaspi = job.tagaspi[st.rank]
         self.bs = params.block_size
-        self.nbj = params.cols // params.block_size
         self.n_queues = job.spec.n_queues
         # register segments
         self.gaspi.segment_register(SEG_HALO_TOP, st.halo_top)
         self.gaspi.segment_register(SEG_HALO_BOTTOM, st.halo_bottom)
         self.gaspi.segment_register(SEG_LOCAL, st.local_segment_array())
 
-    def setup(self, rt):
+    def recv_top(self, t, j, task):
+        self.tagaspi.notify_iwait(SEG_HALO_TOP, j)
+
+    def recv_bottom(self, t, j, task):
+        self.tagaspi.notify_iwait(SEG_HALO_BOTTOM, j)
+
+    def send_down(self, t, j, task):
         st, bs = self.st, self.bs
-        if st.has_upper:
-            for j in range(self.nbj):
-                def body(task, j=j):
-                    seg, off, cnt = st.first_row_seg(j * bs, bs)
-                    self.tagaspi.write_notify(
-                        seg, off, st.rank - 1, SEG_HALO_BOTTOM, j * bs, cnt,
-                        notif_id=j, notif_val=1, queue=j % self.n_queues)
-                rt.submit(body, [In(("b", 0, j))], label="send_up")
-        return
-        yield  # pragma: no cover
+        seg, off, cnt = st.last_row_seg(j * bs, bs)
+        self.tagaspi.write_notify(
+            seg, off, st.rank + 1, SEG_HALO_TOP, j * bs, cnt,
+            notif_id=j, notif_val=t + 1, queue=j % self.n_queues)
 
-    def recv_top_task(self, t, j):
-        def body(task):
-            self.tagaspi.notify_iwait(SEG_HALO_TOP, j)
-        return body
-
-    def recv_bottom_task(self, t, j):
-        def body(task):
-            self.tagaspi.notify_iwait(SEG_HALO_BOTTOM, j)
-        return body
-
-    def send_down_task(self, t, j):
+    def send_up(self, t, j, task):
         st, bs = self.st, self.bs
-
-        def body(task):
-            seg, off, cnt = st.last_row_seg(j * bs, bs)
-            self.tagaspi.write_notify(
-                seg, off, st.rank + 1, SEG_HALO_TOP, j * bs, cnt,
-                notif_id=j, notif_val=t + 1, queue=j % self.n_queues)
-
-        return body
-
-    def send_up_task(self, t, j):
-        st, bs = self.st, self.bs
-
-        def body(task):
-            seg, off, cnt = st.first_row_seg(j * bs, bs)
-            self.tagaspi.write_notify(
-                seg, off, st.rank - 1, SEG_HALO_BOTTOM, j * bs, cnt,
-                notif_id=j, notif_val=t + 2, queue=j % self.n_queues)
-
-        return body
-
-    def send_up_onready(self, t, j):
-        return None
-
-    def send_down_onready(self, t, j):
-        return None
+        seg, off, cnt = st.first_row_seg(j * bs, bs)
+        self.tagaspi.write_notify(
+            seg, off, st.rank - 1, SEG_HALO_BOTTOM, j * bs, cnt,
+            notif_id=j, notif_val=t + 2, queue=j % self.n_queues)
 
 
 def tampi_main(job: Job, params: GSParams, st: RankStorage):

@@ -21,6 +21,7 @@ reference.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
@@ -228,11 +229,58 @@ def mpi_only_main(state: AMRJobState, rank: int):
 # Hybrid variants (shared scaffolding)
 # ======================================================================
 
+def _epoch_deps(plan: EpochPlan, e: int):
+    """One epoch's dependency tuples, built once and reused by every
+    stage: ``recv[k]`` for in-pair ``k`` and, per parity ``par``,
+    ``send[par][k]`` for out-pair ``k`` and ``compute[par][i]`` for the
+    plan's ``i``-th block. Each distinct access is one shared ``Dep``."""
+    slots = range(plan.n_blocks)
+    # reads and next-parity writes of block values, per parity
+    v_in = [[In(("v", e, s, par)) for s in slots] for par in (0, 1)]
+    v_out = [[Out(("v", e, s, 1 - par)) for s in slots] for par in (0, 1)]
+    faces = [In(("f", e, p.slot)) for p in plan.in_pairs]
+    recv = [(Out(("f", e, p.slot)),) for p in plan.in_pairs]
+    send = [[(v_in[par][p.src_slot],) for p in plan.out_pairs]
+            for par in (0, 1)]
+    compute = []
+    for par in (0, 1):
+        per_block = []
+        for b in plan.blocks:
+            slot = plan.slot_of[b]
+            deps = [v_in[par][slot], v_out[par][slot]]
+            for src in plan.sources.get(b, []):
+                deps.append(v_in[par][src.slot] if src.kind == "local"
+                            else faces[src.slot])
+            per_block.append(tuple(deps))
+        compute.append(per_block)
+    return recv, send, compute
+
+
 def _hybrid_main(state: AMRJobState, rank: int, comm):
+    """Build one rank's task graph, epoch by epoch.
+
+    ``comm`` provides the variant-specific bodies, each called with
+    ``task`` last and its other arguments bound by
+    :func:`functools.partial`::
+
+        comm.recv(e, p, task)                          # face p arrives
+        comm.send(e, p, ss, par, task)                 # pack + send face p
+        comm.compute(e, b, remote_ps, ss, par, task)   # update block b
+        comm.send_onready(e, p) -> onready or None     # stages after the first
+
+    Dependency tuples are built once per epoch and parity, and reused by
+    every stage of the epoch.
+    """
     job, params, sched = state.job, state.params, state.schedule
     rt = job.runtimes[rank]
     mpi = job.mpi.rank(rank)
     tampi = job.tampi[rank]
+
+    def mig_send(row, dest, i, task):
+        tampi.iwait(mpi.isend(row, dest, _MIG_TAG + i))
+
+    def mig_recv(row, source, i, task):
+        tampi.iwait(mpi.irecv(row, source, _MIG_TAG + i))
 
     def main(rt):
         eng = rt.engine
@@ -256,17 +304,12 @@ def _hybrid_main(state: AMRJobState, rank: int, comm):
                 for i, (b, src, old_o, new_o) in enumerate(sched.moves[e - 1]):
                     if old_o == rank:
                         row = state.vals[e - 1][rank][prev_par][prev_plan.slot_of[src]]
-
-                        def send_body(task, row=row, new_o=new_o, i=i):
-                            tampi.iwait(mpi.isend(row, new_o, _MIG_TAG + i))
-                        rt.submit(send_body, [], label="mig_send")
+                        rt.submit(partial(mig_send, row, new_o, i), (),
+                                  label="mig_send")
                     if new_o == rank:
                         row = state.vals[e][rank][par0][plan.slot_of[b]]
-
-                        def recv_body(task, row=row, old_o=old_o, i=i):
-                            tampi.iwait(mpi.irecv(row, old_o, _MIG_TAG + i))
-                        rt.submit(recv_body,
-                                  [Out(("v", e, plan.slot_of[b], par0))],
+                        rt.submit(partial(mig_recv, row, old_o, i),
+                                  (Out(("v", e, plan.slot_of[b], par0)),),
                                   label="mig_recv")
                 yield from rt.taskwait()
                 yield from mpi.barrier()
@@ -274,36 +317,31 @@ def _hybrid_main(state: AMRJobState, rank: int, comm):
             if rank == 0:
                 state.refine_windows.append((t_ref0, eng.now))
             # stages
+            recv_deps, send_deps, compute_deps = _epoch_deps(plan, e)
+            recvs = [(partial(comm.recv, e, p), d)
+                     for p, d in zip(plan.in_pairs, recv_deps)]
+            sends = [(p, comm.send_onready(e, p)) for p in plan.out_pairs]
+            computes = [(b, tuple(plan.in_pairs[s.slot]
+                                  for s in plan.sources.get(b, [])
+                                  if s.kind != "local"))
+                        for b in plan.blocks]
+            send, compute = comm.send, comm.compute
             par = state.epoch_start_parity(e)
             steps_here = min(params.refine_every,
                              params.timesteps - e * params.refine_every)
-            cost_c = state.compute_cost()
-            cost_p = state.pack_cost()
             ss = 0  # stage counter within this epoch
             for _step in range(steps_here):
                 for _stage in range(params.stages):
-                    for p in plan.in_pairs:
-                        rt.submit(comm.recv_task(e, p, ss),
-                                  [Out(("f", e, p.slot))], label="recv")
-                    for p in plan.out_pairs:
-                        rt.submit(comm.send_task(e, p, ss, par, cost_p),
-                                  [In(("v", e, p.src_slot, par))],
+                    for body, d in recvs:
+                        rt.submit(body, d, label="recv")
+                    for (p, onready), d in zip(sends, send_deps[par]):
+                        # first stage after the agreement: slots are free
+                        rt.submit(partial(send, e, p, ss, par), d,
                                   label="send",
-                                  onready=comm.send_onready(e, p, ss))
-                    for b in plan.blocks:
-                        slot = plan.slot_of[b]
-                        deps = [In(("v", e, slot, par)),
-                                Out(("v", e, slot, 1 - par))]
-                        remote_ps = []
-                        for s in plan.sources.get(b, []):
-                            if s.kind == "local":
-                                deps.append(In(("v", e, s.slot, par)))
-                            else:
-                                deps.append(In(("f", e, s.slot)))
-                                remote_ps.append(plan.in_pairs[s.slot])
-                        rt.submit(
-                            comm.compute_task(e, b, ss, par, cost_c, remote_ps),
-                            deps, label="compute")
+                                  onready=onready if ss > 0 else None)
+                    for (b, remote_ps), d in zip(computes, compute_deps[par]):
+                        rt.submit(partial(compute, e, b, remote_ps, ss, par),
+                                  d, label="compute")
                     ss += 1
                     par = 1 - par
                 yield from rt.flush()
@@ -325,38 +363,31 @@ class TampiAMRComm:
         self.rank = rank
         self.mpi = state.job.mpi.rank(rank)
         self.tampi = state.job.tampi[rank]
+        self.cost_c = state.compute_cost()
+        self.cost_p = state.pack_cost()
 
     def epoch_setup(self, e: int) -> None:
         pass  # no agreement needed for two-sided
 
-    def recv_task(self, e, p, ss):
+    def recv(self, e, p, task):
         recv = self.state.recv[e][self.rank]
+        self.tampi.iwait(self.mpi.irecv(recv[p.slot], p.src_rank, p.gidx))
 
-        def body(task):
-            self.tampi.iwait(self.mpi.irecv(recv[p.slot], p.src_rank, p.gidx))
-        return body
-
-    def send_task(self, e, p, ss, par, cost_p):
+    def send(self, e, p, ss, par, task):
         vals = self.state.vals[e][self.rank]
+        task.charge(self.cost_p)  # pack
+        self.tampi.iwait(self.mpi.isend(vals[par][p.src_slot],
+                                        p.dst_rank, p.gidx))
 
-        def body(task):
-            task.charge(cost_p)  # pack
-            self.tampi.iwait(self.mpi.isend(vals[par][p.src_slot],
-                                            p.dst_rank, p.gidx))
-        return body
-
-    def send_onready(self, e, p, ss):
+    def send_onready(self, e, p):
         return None
 
-    def compute_task(self, e, b, ss, par, cost_c, remote_ps):
-        state, rank = self.state, self.rank
-        cost_p = state.pack_cost()
-
-        def body(task):
-            if state.params.compute_data:
-                state.gather_update(rank, e, b, par)
-            task.charge(cost_c + cost_p * len(remote_ps))  # compute + unpack
-        return body
+    def compute(self, e, b, remote_ps, ss, par, task):
+        state = self.state
+        if state.params.compute_data:
+            state.gather_update(self.rank, e, b, par)
+        # compute + unpack
+        task.charge(self.cost_c + self.cost_p * len(remote_ps))
 
 
 class TagaspiAMRComm:
@@ -370,6 +401,8 @@ class TagaspiAMRComm:
         self.gaspi = state.job.gaspi.rank(rank)
         self.tagaspi = state.job.tagaspi[rank]
         self.nq = state.job.spec.n_queues
+        self.cost_c = state.compute_cost()
+        self.cost_p = state.pack_cost()
 
     def _segs(self, e: int):
         base = 16 + 4 * e
@@ -386,50 +419,36 @@ class TagaspiAMRComm:
         self.state.job.runtimes[self.rank].charge_current_task(
             self.state.agree_cost(self.rank, e))
 
-    def recv_task(self, e, p, ss):
-        sr = self._segs(e)[2]
+    def recv(self, e, p, task):
+        self.tagaspi.notify_iwait(self._segs(e)[2], p.slot)
 
-        def body(task):
-            self.tagaspi.notify_iwait(sr, p.slot)
-        return body
-
-    def send_task(self, e, p, ss, par, cost_p):
+    def send(self, e, p, ss, par, task):
         segs = self._segs(e)
         V = self.state.params.variables
+        task.charge(self.cost_p)  # pack
+        self.tagaspi.write_notify(
+            segs[par], p.src_slot * V, p.dst_rank,
+            segs[2], p.remote_slot * V, V,
+            notif_id=p.remote_slot, notif_val=ss + 1,
+            queue=p.remote_slot % self.nq)
 
-        def body(task):
-            task.charge(cost_p)  # pack
-            self.tagaspi.write_notify(
-                segs[par], p.src_slot * V, p.dst_rank,
-                self._segs(e)[2], p.remote_slot * V, V,
-                notif_id=p.remote_slot, notif_val=ss + 1,
-                queue=p.remote_slot % self.nq)
-        return body
+    def send_onready(self, e, p):
+        return partial(self._wait_ack, e, p)
 
-    def send_onready(self, e, p, ss):
-        if ss == 0:
-            return None  # first stage after the agreement: slots are free
+    def _wait_ack(self, e, p, task):
+        self.tagaspi.notify_iwait(self._segs(e)[3], p.ack_id)
+
+    def compute(self, e, b, remote_ps, ss, par, task):
+        state = self.state
+        if state.params.compute_data:
+            state.gather_update(self.rank, e, b, par)
+        task.charge(self.cost_c + self.cost_p * len(remote_ps))
+        # ack every consumed remote face so its sender may overwrite
+        # the slot next stage (§IV-B: ack inside the consumer task)
         sa = self._segs(e)[3]
-
-        def onready(task):
-            self.tagaspi.notify_iwait(sa, p.ack_id)
-        return onready
-
-    def compute_task(self, e, b, ss, par, cost_c, remote_ps):
-        state, rank = self.state, self.rank
-        cost_p = state.pack_cost()
-
-        def body(task):
-            if state.params.compute_data:
-                state.gather_update(rank, e, b, par)
-            task.charge(cost_c + cost_p * len(remote_ps))
-            # ack every consumed remote face so its sender may overwrite
-            # the slot next stage (§IV-B: ack inside the consumer task)
-            for p in remote_ps:
-                sa = 16 + 4 * e + 3
-                self.tagaspi.notify(p.src_rank, sa, p.sender_ack_id,
-                                    ss + 1, queue=p.slot % self.nq)
-        return body
+        for p in remote_ps:
+            self.tagaspi.notify(p.src_rank, sa, p.sender_ack_id,
+                                ss + 1, queue=p.slot % self.nq)
 
 
 def tampi_main(state: AMRJobState, rank: int):

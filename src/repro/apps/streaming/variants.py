@@ -16,6 +16,7 @@ Buffers hold exactly one chunk, so slots are reused every chunk:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
@@ -126,6 +127,13 @@ def mpi_only_main(job: Job, params: StreamingParams, sr: StreamRank,
 # Hybrid TAMPI
 # ======================================================================
 
+def _compute_deps(sr: StreamRank) -> list:
+    """Per block position: the compute task's accesses."""
+    if sr.is_first:
+        return [(InOut(("s", b)),) for b in range(sr.nb)]
+    return [(InOut(("s", b)), In(("r", b))) for b in range(sr.nb)]
+
+
 def tampi_main(job: Job, params: StreamingParams, sr: StreamRank,
                outputs: Dict):
     rt = job.runtimes[sr.rank]
@@ -133,35 +141,37 @@ def tampi_main(job: Job, params: StreamingParams, sr: StreamRank,
     tampi = job.tampi[sr.rank]
     cost = _block_cost(job, sr.bs)
     nb, bs = sr.nb, sr.bs
+    slices = [slice(b * bs, (b + 1) * bs) for b in range(nb)]
+    recv_deps = [(Out(("r", b)),) for b in range(nb)]
+    compute_deps = _compute_deps(sr)
+    send_deps = [(In(("s", b)),) for b in range(nb)]
+
+    def recv(c, b, task):
+        tampi.iwait(mpi.irecv(sr.rbuf[slices[b]], sr.prev, c * nb + b))
+
+    def compute(c, b, task):
+        if params.compute_data:
+            sl = slices[b]
+            src = (sr.source_block(c, b) if sr.is_first
+                   else sr.rbuf[sl])
+            sr.sbuf[sl] = node_function(sr.node, src)
+            if sr.is_last and c == params.chunks - 1:
+                outputs.setdefault(sr.rank, sr.sbuf)  # filled in place
+        task.charge(cost)
+
+    def send(c, b, task):
+        tampi.iwait(mpi.isend(sr.sbuf[slices[b]], sr.next, c * nb + b))
 
     def main(rt):
         eng = rt.engine
         for c in range(params.chunks):
             for b in range(nb):
-                sl = slice(b * bs, (b + 1) * bs)
                 if not sr.is_first:
-                    def recv_body(task, b=b, c=c, sl=sl):
-                        tampi.iwait(mpi.irecv(sr.rbuf[sl], sr.prev, c * nb + b))
-                    rt.submit(recv_body, [Out(("r", b))], label="recv")
-
-                def compute_body(task, b=b, c=c, sl=sl):
-                    if params.compute_data:
-                        src = (sr.source_block(c, b) if sr.is_first
-                               else sr.rbuf[sl])
-                        sr.sbuf[sl] = node_function(sr.node, src)
-                        if sr.is_last and c == params.chunks - 1:
-                            outputs.setdefault(sr.rank, sr.sbuf)  # filled in place
-                    task.charge(cost)
-
-                deps = [InOut(("s", b))]
-                if not sr.is_first:
-                    deps.append(In(("r", b)))
-                rt.submit(compute_body, deps, label="compute")
-
+                    rt.submit(partial(recv, c, b), recv_deps[b], label="recv")
+                rt.submit(partial(compute, c, b), compute_deps[b],
+                          label="compute")
                 if sr.next is not None:
-                    def send_body(task, b=b, c=c, sl=sl):
-                        tampi.iwait(mpi.isend(sr.sbuf[sl], sr.next, c * nb + b))
-                    rt.submit(send_body, [In(("s", b))], label="send")
+                    rt.submit(partial(send, c, b), send_deps[b], label="send")
             yield from rt.flush()
             if rt.outstanding > _WINDOW_HIGH:
                 while rt.outstanding > _WINDOW_LOW:
@@ -184,61 +194,72 @@ def tagaspi_main(job: Job, params: StreamingParams, sr: StreamRank,
     nq = job.spec.n_queues
     cost = _block_cost(job, sr.bs)
     nb, bs = sr.nb, sr.bs
+    slices = [slice(b * bs, (b + 1) * bs) for b in range(nb)]
 
     gaspi.segment_register(SEG_RECV, sr.rbuf)
     gaspi.segment_register(SEG_ACK, sr.ack_mem)
     gaspi.segment_register(SEG_SEND, sr.sbuf)
 
+    def wait_data(b, task):
+        tagaspi.notify_iwait(SEG_RECV, b)
+
+    def wait_ack(b, task):
+        tagaspi.notify_iwait(SEG_ACK, b)
+
+    def compute(c, b, task):
+        if params.compute_data:
+            sl = slices[b]
+            src = (sr.source_block(c, b) if sr.is_first
+                   else sr.rbuf[sl])
+            sr.sbuf[sl] = node_function(sr.node, src)
+            if sr.is_last and c == params.chunks - 1:
+                outputs.setdefault(sr.rank, sr.sbuf)
+        task.charge(cost)
+        if not sr.is_first:
+            # ack the slot right after consuming it — the
+            # §IV-B "optimal point" for the ack notification
+            tagaspi.notify(sr.prev, SEG_ACK, b, c + 1, queue=b % nq)
+
+    def write(c, b, task):
+        tagaspi.write_notify(SEG_SEND, b * bs, sr.next,
+                             SEG_RECV, b * bs, bs,
+                             notif_id=b, notif_val=c + 1,
+                             queue=b % nq)
+
+    # one body and one dependency tuple per block position, reused by
+    # every chunk
+    wait_data_tasks = [(partial(wait_data, b), (Out(("r", b)),))
+                       for b in range(nb)]
+    ack_waits = [partial(wait_ack, b) for b in range(nb)]
+    ack_deps = [(Out(("ack", b)),) for b in range(nb)]
+    compute_deps = _compute_deps(sr)
+    write_deps = [(In(("s", b)),) for b in range(nb)]
+    acked_write_deps = [(In(("s", b)), In(("ack", b))) for b in range(nb)]
+
     def main(rt):
         eng = rt.engine
         for c in range(params.chunks):
             for b in range(nb):
-                sl = slice(b * bs, (b + 1) * bs)
                 if not sr.is_first:
-                    def wait_body(task, b=b):
-                        tagaspi.notify_iwait(SEG_RECV, b)
-                    rt.submit(wait_body, [Out(("r", b))], label="wait")
-
-                def compute_body(task, b=b, c=c, sl=sl):
-                    if params.compute_data:
-                        src = (sr.source_block(c, b) if sr.is_first
-                               else sr.rbuf[sl])
-                        sr.sbuf[sl] = node_function(sr.node, src)
-                        if sr.is_last and c == params.chunks - 1:
-                            outputs.setdefault(sr.rank, sr.sbuf)
-                    task.charge(cost)
-                    if not sr.is_first:
-                        # ack the slot right after consuming it — the
-                        # §IV-B "optimal point" for the ack notification
-                        tagaspi.notify(sr.prev, SEG_ACK, b, c + 1, queue=b % nq)
-
-                deps = [InOut(("s", b))]
-                if not sr.is_first:
-                    deps.append(In(("r", b)))
-                rt.submit(compute_body, deps, label="compute")
+                    body, deps = wait_data_tasks[b]
+                    rt.submit(body, deps, label="wait")
+                rt.submit(partial(compute, c, b), compute_deps[b],
+                          label="compute")
 
                 if sr.next is not None:
-                    def write_body(task, b=b, c=c):
-                        tagaspi.write_notify(SEG_SEND, b * bs, sr.next,
-                                             SEG_RECV, b * bs, bs,
-                                             notif_id=b, notif_val=c + 1,
-                                             queue=b % nq)
-                    write_deps = [In(("s", b))]
+                    deps = write_deps[b]
                     onready = None
                     if c > 0:
                         if params.use_onready:
                             # Fig. 8: ack wait folded into the writer task
-                            def onready(task, b=b):
-                                tagaspi.notify_iwait(SEG_ACK, b)
+                            onready = ack_waits[b]
                         else:
                             # Fig. 5: a dedicated wait-ack task before the
                             # writer (ablation A1 measures the difference)
-                            def wait_ack_body(task, b=b):
-                                tagaspi.notify_iwait(SEG_ACK, b)
-                            rt.submit(wait_ack_body, [Out(("ack", b))],
+                            rt.submit(ack_waits[b], ack_deps[b],
                                       label="wait_ack")
-                            write_deps.append(In(("ack", b)))
-                    rt.submit(write_body, write_deps, label="write",
+                            deps = acked_write_deps[b]
+                    rt.submit(partial(write, c, b), deps, label="write",
                               onready=onready)
             yield from rt.flush()
             if rt.outstanding > _WINDOW_HIGH:

@@ -654,7 +654,7 @@ class MPIProcDriver:
                 token = an.wait_enter(mpi.rank, "mpi_" + op, peer=r.peer,
                                       tag=r.tag, kind=r.kind) if an.enabled else None
                 try:
-                    yield r.event
+                    yield r.wait_event()
                 finally:
                     if an.enabled:
                         an.wait_exit(token)

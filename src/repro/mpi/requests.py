@@ -5,9 +5,10 @@ A :class:`Request` tracks one non-blocking operation. Completion is a
 reserves the completion's ``(time, priority, seq)`` queue position, and
 :attr:`Request.done` — what pollers (TAMPI's ``MPI_Test*``) read — answers
 "would that event have fired by now". Only a waiter that suspends
-(``MPI_Wait``) asks for :meth:`Request.wait_event`, which queues the
-:class:`~repro.sim.events.Event` at exactly the reserved position, so a
-completion nobody awaits fires nothing (docs/performance.md).
+(``MPI_Wait``) asks for :meth:`Request.wait_event`, which builds the
+:class:`~repro.sim.events.Event` and queues it at exactly the reserved
+position, so a completion nobody awaits allocates and fires nothing
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class Request:
         self.buf = buf
         self.nbytes = nbytes
         self.state = RequestState.PENDING
-        self.event = Event(engine)
+        #: built by :meth:`wait_event` when a waiter first suspends
+        self.event: Optional[Event] = None
         self.completed_at: Optional[float] = None
         #: recv requests: sim time the matching message was injected at the
         #: sender (wire-visible causality for late-sender analysis)
@@ -108,13 +110,16 @@ class Request:
         self.completed_at = eng._now + delay if delay > 0.0 else eng._now
         eng._seq += 1
         self._seq = eng._seq
-        if self.event.callbacks:  # somebody already suspended on it
+        ev = self.event
+        if ev is not None and ev.callbacks:  # somebody already suspended on it
             self.wait_event()
 
     def wait_event(self) -> Event:
         """The event a suspending waiter yields on; a known completion is
         queued (once) at the position :meth:`complete_at` reserved."""
         ev = self.event
+        if ev is None:
+            ev = self.event = Event(self.engine)
         if self.completed_at is not None and not ev._scheduled:
             ev._ok = ev._scheduled = True
             ev._value = self

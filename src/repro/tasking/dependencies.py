@@ -16,8 +16,7 @@ out of scope (DESIGN.md §5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Hashable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.tasking.task import TaskState
 
@@ -27,18 +26,37 @@ if TYPE_CHECKING:  # pragma: no cover
 MODE_IN = "in"
 MODE_OUT = "out"
 MODE_INOUT = "inout"
-_WRITE_MODES = (MODE_OUT, MODE_INOUT)
 _ALL_MODES = (MODE_IN, MODE_OUT, MODE_INOUT)
 
 
-@dataclass(frozen=True)
 class Dep:
-    mode: str
-    key: Hashable
+    """An access ``mode`` on a region ``key``, compared and hashed by
+    both. Never mutated: one ``Dep`` may be shared by many tasks.
 
-    def __post_init__(self):
-        if self.mode not in _ALL_MODES:
-            raise ValueError(f"bad dependency mode {self.mode!r}")
+    The mode is validated once, here, and folded into ``writes`` so
+    registration never compares mode strings. Apps that submit the same
+    accesses every timestep build the ``Dep`` tuple once and reuse it.
+    """
+
+    __slots__ = ("mode", "key", "writes")
+
+    def __init__(self, mode: str, key: Hashable) -> None:
+        if mode not in _ALL_MODES:
+            raise ValueError(f"bad dependency mode {mode!r}")
+        self.mode = mode
+        self.key = key
+        self.writes = mode != MODE_IN
+
+    def __eq__(self, other):
+        if other.__class__ is not Dep:
+            return NotImplemented
+        return self.mode == other.mode and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.key))
+
+    def __repr__(self) -> str:
+        return f"Dep(mode={self.mode!r}, key={self.key!r})"
 
 
 def In(key: Hashable) -> Dep:
@@ -76,49 +94,53 @@ class DependencyTracker:
         self._regions: Dict[Hashable, _RegionState] = {}
         self.edges = 0
 
-    def register(self, task: "Task", preds: Optional[List["Task"]] = None) -> int:
-        """Record ``task``'s accesses; returns the number of predecessor
-        edges added (0 means the task is immediately ready).
+    def register(self, task: "Task", deps: Sequence[Dep],
+                 preds: Optional[List["Task"]] = None) -> int:
+        """Record ``task``'s accesses ``deps``; returns the number of
+        predecessor edges added (0 means the task is immediately ready).
 
-        ``preds``, when given, collects the predecessor tasks of every edge
-        added — the explicit dependency edges the tracer exports for
-        post-mortem critical-path analysis (:mod:`repro.perf`).
+        ``deps`` is read here and not kept, so one tuple may be shared by
+        every task that makes the same accesses. ``preds``, when given,
+        collects the predecessor tasks of every edge added — the explicit
+        dependency edges the tracer exports for post-mortem critical-path
+        analysis (:mod:`repro.perf`).
         """
         added = 0
-        for d in task.deps:
-            region = self._regions.get(d.key)
+        regions = self._regions
+        for d in deps:
+            region = regions.get(d.key)
             if region is None:
-                region = self._regions[d.key] = _RegionState()
-            if d.mode == MODE_IN:
-                w = region.last_writer
-                if w is not None and w is not task and w.state is not TaskState.COMPLETED:
+                region = regions[d.key] = _RegionState()
+            w = region.last_writer
+            if w is not None and w is not task and w.state is not TaskState.COMPLETED:
+                # a successor list is created at the task's first out-edge
+                if w.successors is None:
+                    w.successors = [task]
+                else:
                     w.successors.append(task)
-                    added += 1
-                    if preds is not None:
-                        preds.append(w)
+                added += 1
+                if preds is not None:
+                    preds.append(w)
+            if not d.writes:
                 region.readers.append(task)
-            else:  # out / inout: after last writer and all readers
-                w = region.last_writer
-                if w is not None and w is not task and w.state is not TaskState.COMPLETED:
-                    w.successors.append(task)
+                continue
+            # out / inout: also after every reader since the last writer
+            readers = region.readers
+            for r in readers:
+                if r is not task and r.state is not TaskState.COMPLETED:
+                    if r.successors is None:
+                        r.successors = [task]
+                    else:
+                        r.successors.append(task)
                     added += 1
                     if preds is not None:
-                        preds.append(w)
-                for r in region.readers:
-                    if r is not task and r.state is not TaskState.COMPLETED:
-                        r.successors.append(task)
-                        added += 1
-                        if preds is not None:
-                            preds.append(r)
-                region.last_writer = task
-                region.readers = []
-                # inout also reads, but as the new last writer it already
-                # orders every later access; no reader entry needed
+                        preds.append(r)
+            region.last_writer = task
+            readers.clear()
+            # inout also reads, but as the new last writer it already
+            # orders every later access; no reader entry needed
         self.edges += added
         return added
-
-    def region_count(self) -> int:
-        return len(self._regions)
 
     def prune(self) -> None:
         """Drop regions whose entire history has completed (memory bound

@@ -105,14 +105,19 @@ class Runtime:
 
         ``body`` is called as ``body(task)`` when the task runs; it may
         return a generator to interleave compute (``yield
-        task.runtime.compute(dt)``) with communication calls. ``deps`` are
-        :func:`~repro.tasking.dependencies.In`/``Out``/``InOut`` items.
+        task.runtime.compute(dt)``) with communication calls. Bind
+        per-task arguments with :func:`functools.partial` (``task`` last)
+        so tasks of one kind share one function. ``deps`` are
+        :func:`~repro.tasking.dependencies.In`/``Out``/``InOut`` items;
+        they are consumed here and not kept, so a list or tuple is read
+        as is and may be shared by every task making the same accesses.
         ``onready`` is the paper's §V-A clause.
         """
         if self._shut_down:
             raise TaskingError("runtime has been shut down")
-        deps = list(deps)
-        task = Task(self, body, deps, label=label, onready=onready, priority=priority)
+        if not isinstance(deps, (tuple, list)):
+            deps = list(deps)
+        task = Task(self, body, label=label, onready=onready, priority=priority)
         cfg = self.config
         cost = cfg.create_overhead + cfg.per_dep_overhead * max(0, len(deps) - 2)
         charge_current(self.engine, cost)
@@ -124,10 +129,10 @@ class Runtime:
         tr = self.engine.tracer
         if tr.enabled:
             preds: List[Task] = []
-            added = self.deps.register(task, preds)
+            added = self.deps.register(task, deps, preds)
             tr.task_submit(self, task, preds)
         else:
-            added = self.deps.register(task)
+            added = self.deps.register(task, deps)
         task.remaining_deps = added
         if added == 0:
             self._make_ready(task)
@@ -138,7 +143,7 @@ class Runtime:
     ) -> Task:
         """``nanos6_spawn_function``: a task with an independent dependency
         namespace (no deps), used for library polling services."""
-        task = Task(self, body, [], label=label, priority=priority)
+        task = Task(self, body, label=label, priority=priority)
         task.independent = True
         self.stats.tasks_created += 1
         self._make_ready(task)
@@ -253,11 +258,13 @@ class Runtime:
             agg[0] += 1
             agg[1] += task.cpu_time
         # release dependencies: decrement each successor edge
-        for succ in task.successors:
-            succ.remaining_deps -= 1
-            if succ.remaining_deps == 0 and succ.state is TaskState.CREATED:
-                self._make_ready(succ)
-        task.successors = []
+        succs = task.successors
+        if succs is not None:
+            task.successors = None
+            for succ in succs:
+                succ.remaining_deps -= 1
+                if succ.remaining_deps == 0 and succ.state is TaskState.CREATED:
+                    self._make_ready(succ)
         if task.independent:
             return
         self._outstanding -= 1

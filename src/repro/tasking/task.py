@@ -83,7 +83,6 @@ class Task:
         "uid",
         "runtime",
         "body",
-        "deps",
         "label",
         "onready",
         "priority",
@@ -109,7 +108,6 @@ class Task:
         self,
         runtime: "Runtime",
         body: Optional[Callable],
-        deps: list,
         label: str = "task",
         onready: Optional[Callable[["Task"], None]] = None,
         priority: bool = False,
@@ -119,14 +117,14 @@ class Task:
         self.uid = next(runtime._task_uids)
         self.runtime = runtime
         self.body = body
-        self.deps = deps
         self.label = label
         self.onready = onready
         self.priority = priority
         self.state = TaskState.CREATED
         self.generator = None
         self.remaining_deps = 0
-        self.successors: List[Task] = []
+        #: tasks waiting on this one; created at the first out-edge
+        self.successors: Optional[List[Task]] = None
         self.events = 0
         self.pre_events = 0
         self._in_onready = False

@@ -1,6 +1,9 @@
 """Unit tests for the tasking runtime: dependencies, lifecycle, events,
 onready, wait_for_us, and polling services."""
 
+import gc
+from functools import partial
+
 import pytest
 
 from repro.sim import Engine
@@ -116,6 +119,33 @@ class TestDependencies:
     def test_dep_constructor_validates_mode(self):
         with pytest.raises(ValueError):
             dep("bogus", "k")
+
+    def test_deps_compare_and_hash_by_mode_and_key(self):
+        assert In(("b", 0)) == dep("in", ("b", 0))
+        assert hash(In(("b", 0))) == hash(dep("in", ("b", 0)))
+        assert In("x") != Out("x") and Out("x") != InOut("x")
+        assert len({In("x"), In("x"), Out("x"), In("y")}) == 3
+        assert repr(InOut("x")) == "Dep(mode='inout', key='x')"
+
+    def test_pending_task_costs_at_most_two_tracked_objects(self):
+        """A pending task is one Task plus, at its first out-edge, one
+        successor list: the shared dependency tuple and body are not
+        copied, and no closure is made per task."""
+        eng, rt = make_rt()
+        deps = (InOut("x"),)
+
+        def work(n, task):
+            task.charge(n)
+
+        body = partial(work, 1e-6)
+        rt.submit(body, deps)  # creates the region
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(1000):
+            rt.submit(body, deps)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 2 * 1000
+        assert rt.outstanding == 1001
 
 
 class TestExternalEvents:

@@ -294,6 +294,22 @@ class TestBlockingInTask:
                 return helper
         """) == []
 
+    def test_partial_bound_method_is_a_task_body(self):
+        # a shared body whose leading arguments are bound with
+        # functools.partial takes ``task`` last
+        assert rules_of("""
+            class Comm:
+                def send_up(self, t, j, task):
+                    req = self.mpi.isend(buf, 0, t)
+                    self.mpi.wait(req)
+        """) == ["blocking-in-task"]
+        assert rules_of("""
+            class Comm:
+                def send_up(self, t, j, task):
+                    req = self.mpi.isend(buf, 0, t)
+                    self.tampi.iwait(req)
+        """) == []
+
     def test_onready_keyword_is_a_task_body(self):
         assert rules_of("""
             def ack(t):
