@@ -110,7 +110,6 @@ def mpi_only_main(job: Job, params: GSParams, st: RankStorage):
                         st.halo_bottom[j * bs : (j + 1) * bs], down, _tag(t, 1, j, nbj))
 
             sends = []
-            left_val_cols = st.side_zeros
             for j in range(nbj):
                 if recv_top[j] is not None:
                     yield from drv.wait(recv_top[j])
@@ -118,8 +117,8 @@ def mpi_only_main(job: Job, params: GSParams, st: RankStorage):
                     yield from drv.wait(recv_bot[j])
                 if params.compute_data:
                     j0, j1 = j * bs, (j + 1) * bs
-                    left = st.local[:, j0 - 1] if j > 0 else left_val_cols
-                    right = (st.local[:, j1].copy() if j1 < cols else left_val_cols)
+                    left = st.local[:, j0 - 1] if j > 0 else st.side_zeros
+                    right = (st.local[:, j1].copy() if j1 < cols else st.side_zeros)
                     gs_sweep_block(
                         st.local[:, j0:j1],
                         st.halo_top[j0:j1],

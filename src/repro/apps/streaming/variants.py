@@ -12,6 +12,10 @@ Buffers hold exactly one chunk, so slots are reused every chunk:
 * the TAGASPI variant needs the §IV-B ack protocol — the *consumer* task
   acks a slot right after processing it, and the writer task's
   ``onready`` waits for that ack (Fig. 8).
+
+In model mode (``compute_data=False``) nothing reads the chunk buffers, so
+each is an :class:`~repro.network.message.Extent`: a size without contents.
+The ack segment stays an array; it is one element.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from repro.apps.streaming.common import StreamingParams, node_function
 from repro.harness.runner import Job
+from repro.network.message import Extent
 from repro.tasking import In, InOut, Out
 
 SEG_RECV = 0
@@ -52,8 +57,9 @@ class StreamRank:
             raise ValueError("block_size must divide per-rank chunk elements")
         self.bs = params.block_size
         self.nb = self.elems // self.bs
-        self.rbuf = np.zeros(self.elems)
-        self.sbuf = np.zeros(self.elems)
+        buffer = np.zeros if params.compute_data else Extent
+        self.rbuf = buffer(self.elems)
+        self.sbuf = buffer(self.elems)
         self.ack_mem = np.zeros(1)
         # node-0 source offset of this rank's slice (for data generation)
         idx = rank % self.rpn

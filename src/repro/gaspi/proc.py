@@ -34,7 +34,7 @@ from repro.gaspi.operations import (
 )
 from repro.gaspi.queues import GaspiQueue, LowLevelRequest
 from repro.gaspi.segments import Segment
-from repro.network.message import Message
+from repro.network.message import Message, payload_copy
 from repro.network.topology import Cluster
 from repro.sim.context import charge_current
 
@@ -90,7 +90,9 @@ class GaspiRank:
     # segments
     # ------------------------------------------------------------------
     def segment_register(self, seg_id: int, array: np.ndarray) -> Segment:
-        """Expose ``array`` as segment ``seg_id`` of this rank.
+        """Expose ``array`` as segment ``seg_id`` of this rank. A cost-model
+        run may pass an :class:`~repro.network.message.Extent` instead: its
+        writes and reads then move sizes, not bytes.
 
         All ranks of an application register the same segment ids
         (collectively, like ``gaspi_segment_create``), though sizes may
@@ -178,7 +180,7 @@ class GaspiRank:
                 meta["notif_val"] = notif_val
             msg = Message(
                 self.rank, self._check_dest(dest), "gaspi", operation,
-                src.nbytes + _CONTROL_BYTES, np.array(src, copy=True), meta=meta,
+                src.nbytes + _CONTROL_BYTES, payload_copy(src), meta=meta,
             )
             local_done = self.cluster.send(msg, depart_delay=depart)
             for _ in range(nreq):
@@ -508,7 +510,7 @@ class GaspiRank:
             )
             reply = Message(
                 self.rank, msg.src_rank, "gaspi", "read_resp",
-                src.nbytes + _CONTROL_BYTES, np.array(src, copy=True),
+                src.nbytes + _CONTROL_BYTES, payload_copy(src),
                 meta={"op_id": msg.meta["op_id"]},
             )
             self.cluster.send(reply)

@@ -30,7 +30,7 @@ from repro.sim.serial import SerialDevice
 _request_serials = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class LowLevelRequest:
     """One hardware-level work request created by a GASPI operation."""
 

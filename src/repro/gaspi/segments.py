@@ -1,7 +1,10 @@
 """GASPI memory segments and notification space.
 
 A :class:`Segment` binds a numpy array (the remotely accessible memory) to
-a per-segment notification table. GASPI semantics implemented:
+a per-segment notification table. A cost-model run may back a segment by an
+:class:`~repro.network.message.Extent` instead: views are then Extents of
+the same range, and writes and reads move sizes, not bytes. GASPI semantics
+implemented:
 
 * notification values are non-zero 32-bit unsigned ints;
 * a notification becomes visible at the target only after the data of the
@@ -18,18 +21,23 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.gaspi.errors import GaspiError
+from repro.network.message import Extent
 
 
 class Segment:
     """Remotely accessible memory plus its notification table."""
 
-    __slots__ = ("seg_id", "array", "notifications", "arrival_counter")
+    __slots__ = ("seg_id", "array", "flat", "notifications", "arrival_counter")
 
-    def __init__(self, seg_id: int, array: np.ndarray):
-        if not isinstance(array, np.ndarray):
-            raise GaspiError("segments are backed by numpy arrays")
-        if not array.flags["C_CONTIGUOUS"]:
-            raise GaspiError("segment arrays must be C-contiguous")
+    def __init__(self, seg_id: int, array: np.ndarray | Extent):
+        if isinstance(array, Extent):
+            self.flat = array
+        elif isinstance(array, np.ndarray):
+            if not array.flags["C_CONTIGUOUS"]:
+                raise GaspiError("segment arrays must be C-contiguous")
+            self.flat = array.reshape(-1)
+        else:
+            raise GaspiError("segments are backed by numpy arrays or Extents")
         self.seg_id = seg_id
         self.array = array
         #: arrived, unconsumed notifications: id -> value
@@ -38,9 +46,9 @@ class Segment:
         self.arrival_counter = 0
 
     # -- memory ----------------------------------------------------------
-    def view(self, offset: int, count: int) -> np.ndarray:
+    def view(self, offset: int, count: int) -> np.ndarray | Extent:
         """Flat element view [offset, offset+count) of the segment."""
-        flat = self.array.reshape(-1)
+        flat = self.flat
         if offset < 0 or count < 0 or offset + count > flat.size:
             raise GaspiError(
                 f"segment {self.seg_id}: range [{offset}, {offset + count}) "

@@ -21,7 +21,7 @@ from typing import Generator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.network.message import Message
+from repro.network.message import Message, payload_copy
 from repro.network.topology import Cluster
 from repro.mpi.datatypes import (
     ANY_SOURCE,
@@ -125,7 +125,7 @@ class MPIRank:
         depart = grant.end - self.engine.now
         if nbytes <= self._eager_max:
             self.stats_eager += 1
-            payload = None if buf is None else np.array(buf, copy=True)
+            payload = payload_copy(buf)
             msg = Message(
                 self.rank, dest, "mpi", "eager", nbytes + CONTROL_BYTES, payload,
                 meta={"tag": tag},
@@ -194,7 +194,7 @@ class MPIRank:
             self.stats_eager += 1
             # message j leaves the library when its slice of the hold ends
             departs[j] = (grant.start + (j + 1) * unit) - now
-            payload = None if buf is None else np.array(buf, copy=True)
+            payload = payload_copy(buf)
             msgs.append(Message(
                 self.rank, dest, "mpi", "eager", nbytes + CONTROL_BYTES,
                 payload, meta={"tag": tag},
@@ -267,9 +267,11 @@ class MPIRank:
         if msg.kind == "eager":
             copy_into(req.buf, msg.payload)
             copy_cost = 0.0
-            if msg.payload is not None:
-                # unexpected eager data is copied out of the internal buffer
-                copy_cost = msg.payload.nbytes / self.fabric.intra_bandwidth
+            if req.buf is not None:
+                # unexpected eager data is copied out of the internal buffer;
+                # copy_into checked that the sizes match, and the cost reads
+                # only the size, never the contents
+                copy_cost = req.nbytes / self.fabric.intra_bandwidth
                 charge_current(self.engine, copy_cost)
             req.complete_at(at + self._c_match + copy_cost)
         elif msg.kind == "rts":
@@ -528,7 +530,7 @@ class MPIRank:
                 "mpi",
                 "data",
                 send_req.nbytes + CONTROL_BYTES,
-                np.array(send_req.buf, copy=True),
+                payload_copy(send_req.buf),
                 meta={"recv_uid": msg.meta["recv_uid"]},
             )
             local_done = self.cluster.send(data, depart_delay=grant.end - self.engine.now)

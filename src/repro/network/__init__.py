@@ -17,7 +17,7 @@ operations posted to the same queue and target" (§II-B) is honoured.
 
 from repro.network.batch import batch_eligible, send_batch
 from repro.network.fabric import Fabric
-from repro.network.message import Message
+from repro.network.message import Extent, Message
 from repro.network.topology import Cluster, Node, NetworkStats
 from repro.network.models import (
     OMNIPATH,
@@ -30,6 +30,7 @@ __all__ = [
     "Fabric",
     "batch_eligible",
     "send_batch",
+    "Extent",
     "Message",
     "Cluster",
     "Node",

@@ -12,6 +12,7 @@ from repro.apps.gauss_seidel.common import (
 from repro.apps.gauss_seidel.runner import run_gauss_seidel_steady
 from repro.apps.gauss_seidel.storage import RankStorage
 from repro.harness import JobSpec, MARENOSTRUM4, CTE_AMD
+from repro.network import Extent
 
 MACH4 = MARENOSTRUM4.with_cores(4)
 
@@ -114,9 +115,10 @@ class TestModelMode:
         assert steady.throughput >= full.throughput * 0.99
 
     def test_storage_allocates_only_the_rows_a_rank_uses(self):
-        """Model mode keeps the two boundary rows a rank sends plus its two
-        halos; the fixed global boundaries live in the edge ranks' halos
-        and no rank allocates a row of its own for them."""
+        """Model mode owns no array: the two boundary rows a rank sends and
+        its two halos are Extents, sizes without contents. The fixed global
+        boundaries are values that only the kernel reads, so they live in
+        the data-mode halos alone."""
         params = GSParams(rows=64, cols=32, timesteps=1, block_size=8,
                           top_boundary=2.5, compute_data=False)
         parts = partition_rows(params.rows, 4)
@@ -131,12 +133,24 @@ class TestModelMode:
                         owners.append(base)
             return sum(o.nbytes for o in owners)
 
-        row = params.cols * 8
+        cols = params.cols
         for s in st:
-            assert owned_bytes(s) == 4 * row + s.side_zeros.nbytes
-        assert np.array_equal(st[0].halo_top, np.full(params.cols, 2.5))
-        assert np.array_equal(st[-1].halo_bottom, np.zeros(params.cols))
-        assert not st[1].halo_top.any() and not st[2].halo_bottom.any()
+            assert owned_bytes(s) == 0
+            sizes = [(type(b), b.size, b.dtype)
+                     for b in (s._boundary, s.halo_top, s.halo_bottom)]
+            assert sizes == [(Extent, 2 * cols, np.float64),
+                             (Extent, cols, np.float64),
+                             (Extent, cols, np.float64)]
+            assert s.local_segment_array() is s._boundary
+            assert not hasattr(s, "side_zeros")
+
+        data = GSParams(rows=64, cols=32, timesteps=1, block_size=8,
+                        top_boundary=2.5)
+        grid = initial_grid(data)
+        dst = [RankStorage(data, r, 4, parts[r], grid) for r in range(4)]
+        assert np.array_equal(dst[0].halo_top, np.full(cols, 2.5))
+        assert np.array_equal(dst[-1].halo_bottom, np.zeros(cols))
+        assert not dst[1].halo_top.any() and not dst[2].halo_bottom.any()
 
     def test_data_mode_storage_unchanged(self):
         params = GSParams(rows=48, cols=32, timesteps=1, block_size=8,

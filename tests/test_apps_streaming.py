@@ -6,7 +6,9 @@ import pytest
 from repro.apps.streaming import StreamingParams, run_streaming
 from repro.apps.streaming.common import expected_output, node_function
 from repro.apps.streaming.runner import run_streaming_steady
-from repro.harness import JobSpec, MARENOSTRUM4, CTE_AMD
+from repro.apps.streaming.variants import StreamRank
+from repro.harness import JobSpec, MARENOSTRUM4, CTE_AMD, build_job
+from repro.network import Extent
 
 MACH4 = MARENOSTRUM4.with_cores(4)
 
@@ -59,6 +61,23 @@ class TestCorrectness:
     def test_block_size_must_divide(self):
         with pytest.raises(ValueError):
             StreamingParams(chunks=1, elements_per_chunk=100, block_size=33)
+
+
+class TestModelMode:
+    def test_rank_owns_only_its_ack_array(self):
+        """Model mode never reads the chunk buffers, so they are Extents;
+        the one-element ack segment is the only array a rank owns."""
+        params = StreamingParams(chunks=2, elements_per_chunk=256,
+                                 block_size=32, compute_data=False)
+        job = build_job(JobSpec(machine=MACH4, n_nodes=3, variant="tagaspi"))
+        for rank in range(job.spec.n_ranks):
+            sr = StreamRank(job, params, rank)
+            arrays = [k for k, v in vars(sr).items()
+                      if isinstance(v, np.ndarray)]
+            assert arrays == ["ack_mem"]
+            for buf in (sr.rbuf, sr.sbuf):
+                assert isinstance(buf, Extent)
+                assert (buf.size, buf.dtype) == (sr.elems, np.float64)
 
 
 class TestPerformanceModel:
