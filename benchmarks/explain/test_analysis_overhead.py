@@ -28,7 +28,7 @@ PARAMS = GSParams(rows=128, cols=1024, timesteps=6, block_size=64,
                   compute_data=False)
 REPS = 5
 #: ``(sim_time, event_count)`` of every mode
-SIM_TIME_AND_EVENTS = (0.0022963099999999993, 2350)
+SIM_TIME_AND_EVENTS = (0.0022963099999999993, 1722)
 
 
 def _attach(job, **checkers):

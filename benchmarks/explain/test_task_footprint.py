@@ -31,7 +31,7 @@ MACHINE = MARENOSTRUM4.with_cores(4)
 PARAMS = GSParams(rows=128, cols=1024, timesteps=6, block_size=64,
                   compute_data=False)
 #: ``(sim_time, event_count)`` of the job (as in test_analysis_overhead.py)
-SIM_TIME_AND_EVENTS = (0.0022963099999999993, 2350)
+SIM_TIME_AND_EVENTS = (0.0022963099999999993, 1722)
 #: tracked objects the runtime keeps per pending task, at most
 RUNTIME_OBJECTS_PER_TASK = 2
 

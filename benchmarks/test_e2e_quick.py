@@ -9,9 +9,16 @@ the PR that moves the number, so the stale test is a strict xfail
 (``benchmarks/conftest.py``) and every one of its assertions lives here
 with that one line re-pinned. Delete this file and the xfail once the
 original is re-pinned.
+
+It also guards the benchmark's result line: the last stdout line must be
+a strict-JSON result object (no ``NaN``/``Infinity``, which ``json.dumps``
+writes but JSON has not) whose every metric value is a finite number. A
+metric the ledger names going ``null`` (its function or file was deleted)
+or a non-finite value would leave that line without a usable result.
 """
 
 import json
+import math
 import time
 
 from benchmarks.e2e.test_e2e_smoke import END_TO_END, MAIN, PER_LAYER, SPEC, _run
@@ -33,8 +40,17 @@ def test_quick_runs_all_passes(tmp_path):
         assert res["schema"] == []
         assert sorted(res["metrics"]) == sorted(END_TO_END + PER_LAYER)
         assert all(m["value"] is not None for m in res["metrics"].values()), name
+        for metric, m in res["metrics"].items():
+            assert _finite(m["value"]), (name, metric, m["value"])
         ledger = json.loads((tmp_path / f"ledger_{name}.json").read_text())
         assert set(ledger) >= {"layers", "files", "call_matrix"}
+
+    last = json.loads(proc.stdout.splitlines()[-1],
+                      parse_constant=_reject_constant)
+    assert last["correct"] is True and last["failed"] == 0
+    assert sorted(last["metrics"]) == sorted(END_TO_END + PER_LAYER)
+    for metric, m in last["metrics"].items():
+        assert _finite(m["value"]), (metric, m["value"])
 
     layers = {n: r["metrics"] for n, r in results["workloads"].items()}
     for name in ("gs_mpi", "cg_backends"):
@@ -45,3 +61,12 @@ def test_quick_runs_all_passes(tmp_path):
         assert m["sim.engine.step_calls"]["value"] == 0, name
         assert m["sim.engine.peek_calls"]["value"] == 0, name
         assert m["sim.engine.run_calls"]["value"] == m["harness.jobs"]["value"], name
+
+
+def _finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _reject_constant(name):
+    raise ValueError(f"result line holds non-JSON constant {name}")

@@ -86,9 +86,9 @@ class FaultReport:
 class FaultAbort(RuntimeError):
     """A recovery policy exhausted its retries with ``on_exhaustion="abort"``.
 
-    Propagates out of the library poller through the failing worker process
-    up to ``Job.run`` — the simulated analogue of the application calling
-    ``gaspi_proc_term`` after an unrecoverable error.
+    Propagates out of the library poller through its worker core's engine
+    callback up to ``Job.run`` — the simulated analogue of the application
+    calling ``gaspi_proc_term`` after an unrecoverable error.
     """
 
     def __init__(self, message: str, report: Optional[FaultReport] = None,

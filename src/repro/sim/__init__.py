@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation (DES) kernel.
 
 This package is the substrate for the whole reproduction: simulated MPI
-ranks, network links, tasking-runtime worker cores, and polling services are
-all :class:`~repro.sim.process.Process` instances driven by a single
-:class:`~repro.sim.engine.Engine`.
+ranks and task creators are :class:`~repro.sim.process.Process` instances,
+and tasking-runtime worker cores are engine callbacks, all driven by a
+single :class:`~repro.sim.engine.Engine`.
 
 Design goals (see DESIGN.md §1):
 
@@ -22,7 +22,7 @@ Design goals (see DESIGN.md §1):
 from repro.sim.engine import Engine, Interrupt, SimulationError
 from repro.sim.events import Event, Timeout, AllOf, AnyOf
 from repro.sim.process import Process
-from repro.sim.resources import Mutex, Resource, Store
+from repro.sim.resources import Mutex
 from repro.sim.rng import SeedSequence, derive_rng
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "AnyOf",
     "Process",
     "Mutex",
-    "Resource",
-    "Store",
     "SeedSequence",
     "derive_rng",
 ]

@@ -4,19 +4,20 @@ Model code (substrate calls like ``isend`` or ``tagaspi_write_notify``) is
 written as plain synchronous functions so that application task bodies read
 like the paper's listings. The CPU time those calls consume is *charged*
 to whoever is currently executing: the engine holds a ``current_context``
-(set by the tasking runtime's workers around each task step, or by
-stand-alone rank driver processes) and substrates call
+(set by each tasking worker core around every one of its engine
+callbacks, or by stand-alone rank driver processes) and substrates call
 :func:`charge_current`.
 
 Charges are *lazy*: they accumulate in the sink until the executor takes
-them — a :class:`repro.tasking.scheduler.Worker` as a simulated delay after
-the current synchronous step, a :class:`repro.mpi.comm.MPIProcDriver` into
-its local clock, which becomes an event only at its next ``sync()``.
+them — a :class:`repro.tasking.scheduler.Worker` as core-busy time (its
+wake re-armed after the current synchronous step), a
+:class:`repro.mpi.comm.MPIProcDriver` into its local clock, which becomes
+an event only at its next ``sync()``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Protocol
 
 from repro.sim.engine import Engine
 
@@ -43,10 +44,6 @@ class AccumulatingSink:
         """Return and reset the accumulated charge."""
         p, self.pending = self.pending, 0.0
         return p
-
-
-def current_sink(engine: Engine) -> Optional[CpuSink]:
-    return getattr(engine, "current_context", None)
 
 
 def charge_current(engine: Engine, seconds: float) -> None:

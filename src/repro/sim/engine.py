@@ -286,9 +286,6 @@ class Engine:
     def all_of(self, events: Iterable["Event"]) -> "Event":
         return AllOf(self, list(events))
 
-    def any_of(self, events: Iterable["Event"]) -> "Event":
-        return AnyOf(self, list(events))
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -495,5 +492,5 @@ class Engine:
 
 # The event classes need ``Engine`` (above) to exist before they can be
 # defined; the factories bind them here, once, instead of per call.
-from repro.sim.events import AllOf, AnyOf, Event, Timeout  # noqa: E402
+from repro.sim.events import AllOf, Event, Timeout  # noqa: E402
 from repro.sim.process import Process  # noqa: E402

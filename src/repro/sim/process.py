@@ -53,10 +53,6 @@ class Process(Event):
         start.add_callback(self._resume_cb)
         start.succeed(priority=PRIORITY_URGENT)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered and self.ok is None
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield.
 

@@ -1,20 +1,19 @@
 """Instrumented shared resources for simulated contention.
 
-:class:`Mutex` is the centrepiece: the evaluation reproduces the paper's
-§VI-C claim that TAMPI's fine-grained performance collapses because of lock
-wait inside ``MPI_THREAD_MULTIPLE`` implementations. The mutex therefore
-records aggregate statistics (total wait time, total hold time, acquisition
-count, maximum queue depth) that the harness reads back.
-
-:class:`Resource` generalises to counted capacity (e.g. NIC DMA engines) and
-:class:`Store` is a FIFO hand-off channel used by network endpoints.
+:class:`LockStats` holds the aggregate contention statistics (total wait
+time, total hold time, acquisition count, maximum queue depth) that the
+harness reads back to reproduce the paper's §VI-C claim: TAMPI's
+fine-grained performance collapses because of lock wait inside
+``MPI_THREAD_MULTIPLE`` implementations. The library's locks are
+analytical :class:`repro.sim.serial.SerialDevice` instances;
+:class:`Mutex` is the event-driven FIFO lock they are equivalent to.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Optional
+from dataclasses import dataclass
+from typing import Deque
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event
@@ -22,22 +21,13 @@ from repro.sim.events import Event
 
 @dataclass
 class LockStats:
-    """Aggregate contention statistics for a :class:`Mutex`/:class:`Resource`."""
+    """Aggregate contention statistics of a lock."""
 
     acquisitions: int = 0
     contended_acquisitions: int = 0
     total_wait_time: float = 0.0
     total_hold_time: float = 0.0
     max_queue_depth: int = 0
-
-    def merged_with(self, other: "LockStats") -> "LockStats":
-        return LockStats(
-            acquisitions=self.acquisitions + other.acquisitions,
-            contended_acquisitions=self.contended_acquisitions + other.contended_acquisitions,
-            total_wait_time=self.total_wait_time + other.total_wait_time,
-            total_hold_time=self.total_hold_time + other.total_hold_time,
-            max_queue_depth=max(self.max_queue_depth, other.max_queue_depth),
-        )
 
 
 class Mutex:
@@ -110,90 +100,3 @@ class Mutex:
             ev.succeed()
         else:
             self._locked = False
-
-
-class Resource:
-    """Counted-capacity resource with FIFO admission (a semaphore)."""
-
-    def __init__(self, engine: Engine, capacity: int, name: str = "resource"):
-        if capacity < 1:
-            raise SimulationError("capacity must be >= 1")
-        self.engine = engine
-        self.name = name
-        self.capacity = capacity
-        self.stats = LockStats()
-        self._in_use = 0
-        self._waiters: Deque[tuple[Event, float]] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        ev = Event(self.engine)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.stats.acquisitions += 1
-            ev.succeed()
-        else:
-            self._waiters.append((ev, self.engine.now))
-            self.stats.contended_acquisitions += 1
-            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._waiters))
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            ev, enqueued_at = self._waiters.popleft()
-            self.stats.acquisitions += 1
-            now = self.engine.now
-            self.stats.total_wait_time += now - enqueued_at
-            tr = self.engine.tracer
-            if tr.enabled and now > enqueued_at:
-                tr.span("sim", f"lock_wait:{self.name}", enqueued_at, now,
-                        queue_depth=len(self._waiters))
-            ev.succeed()
-        else:
-            self._in_use -= 1
-
-
-class Store:
-    """Unbounded FIFO hand-off channel between processes.
-
-    ``put`` never blocks; ``get`` returns an event that fires with the next
-    item (immediately if one is queued). Items are delivered strictly in
-    arrival order — the network layer relies on this for GASPI's
-    per-(queue, target) ordering guarantee.
-    """
-
-    def __init__(self, engine: Engine, name: str = "store"):
-        self.engine = engine
-        self.name = name
-        self._items: Deque[object] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: object) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.engine)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def peek_all(self) -> list:
-        """Snapshot of queued items (diagnostics only)."""
-        return list(self._items)

@@ -71,9 +71,5 @@ class SerialDevice:
         st.total_hold_time += hold
         return ServiceGrant(start=start, end=end, wait=wait)
 
-    def idle_at(self, at: float | None = None) -> bool:
-        now = self.engine.now if at is None else at
-        return self.busy_until <= now
-
     def reset_stats(self) -> None:
         self.stats = LockStats()

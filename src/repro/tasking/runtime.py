@@ -86,7 +86,6 @@ class Runtime:
         self._taskwait_waiters: List[Event] = []
         #: onready-blocked timestamps, kept only while a tracer is enabled
         self._blocked_at: dict = {}
-        self._shutdown_sentinel = object()
         self._shut_down = False
         self.workers = [Worker(self, i) for i in range(self.config.n_cores)]
 
@@ -274,10 +273,10 @@ class Runtime:
                 ev.succeed()
 
     def shutdown(self) -> None:
-        """Stop the worker processes (end of simulation)."""
+        """Stop the worker cores (end of simulation): idle ones now, busy
+        ones when the ready queue has nothing left for them."""
         self._shut_down = True
-        for _ in self.workers:
-            self._ready.push(self._shutdown_sentinel)  # type: ignore[arg-type]
+        self._ready._idle.clear()
 
     def _error(self, msg: str) -> TaskingError:
         return TaskingError(f"[{self.name}] {msg}")

@@ -1,8 +1,8 @@
-"""Unit tests for mutexes, resources, stores, and serial devices."""
+"""Unit tests for mutexes and serial devices."""
 
 import pytest
 
-from repro.sim import Engine, Mutex, Resource, Store, SimulationError
+from repro.sim import Engine, Mutex, SimulationError
 from repro.sim.serial import SerialDevice
 
 
@@ -62,77 +62,6 @@ class TestMutex:
         m.acquire()
         assert m.queue_depth == 2
         assert m.stats.max_queue_depth == 2
-
-
-class TestResource:
-    def test_capacity_limits_concurrency(self):
-        eng = Engine()
-        res = Resource(eng, capacity=2)
-        concurrent = []
-        active = [0]
-
-        def worker():
-            yield res.acquire()
-            active[0] += 1
-            concurrent.append(active[0])
-            yield eng.timeout(1.0)
-            active[0] -= 1
-            res.release()
-
-        for _ in range(5):
-            eng.process(worker())
-        eng.run()
-        assert max(concurrent) == 2
-
-    def test_bad_capacity(self):
-        with pytest.raises(SimulationError):
-            Resource(Engine(), 0)
-
-    def test_release_idle_raises(self):
-        with pytest.raises(SimulationError):
-            Resource(Engine(), 1).release()
-
-
-class TestStore:
-    def test_fifo_delivery(self):
-        eng = Engine()
-        st = Store(eng)
-        st.put("x")
-        st.put("y")
-        got = []
-
-        def consumer():
-            a = yield st.get()
-            b = yield st.get()
-            got.extend([a, b])
-
-        eng.run_until_complete(eng.process(consumer()))
-        assert got == ["x", "y"]
-
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        st = Store(eng)
-        got = []
-
-        def consumer():
-            v = yield st.get()
-            got.append((v, eng.now))
-
-        def producer():
-            yield eng.timeout(3.0)
-            st.put("late")
-
-        eng.process(consumer())
-        eng.process(producer())
-        eng.run()
-        assert got == [("late", 3.0)]
-
-    def test_len_and_peek(self):
-        st = Store(Engine())
-        st.put(1)
-        st.put(2)
-        assert len(st) == 2
-        assert st.peek_all() == [1, 2]
 
 
 class TestSerialDevice:

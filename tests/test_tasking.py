@@ -18,7 +18,9 @@ from repro.tasking import (
     TaskState,
 )
 from repro.tasking.polling import PollableWork, spawn_polling_service
+from repro.tasking.task import BlockOn
 from tests.conftest import run_all
+from tests.reference.generator_worker import generator_workers
 
 
 def make_rt(n_cores=2, **cfg):
@@ -407,3 +409,114 @@ class TestStatsAndMisc:
     def test_config_validation(self):
         with pytest.raises(TaskingError):
             RuntimeConfig(n_cores=0)
+
+
+class TestCallbackWorker:
+    """A core runs a plain task from two engine callbacks and makes no
+    process; generator bodies keep the generator worker's accounting
+    (docs/performance.md, "A worker core is a callback")."""
+
+    N = 12
+
+    def _plain(self, chain):
+        """``N`` charged tasks on two cores with a dispatch cost, either
+        independent or a dependency chain (each completion then pushes its
+        successor to the idle core); returns (events fired, now)."""
+        eng, rt = make_rt(n_cores=2, dispatch_overhead=0.5e-6)
+        log = []
+        for i in range(self.N):
+            rt.submit(charged(i, log, dur=2e-6), [InOut("x")] if chain else [])
+        eng.run()
+        assert log == list(range(self.N)) and rt.outstanding == 0
+        return eng.event_count, eng.now
+
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_plain_task_fires_two_events(self, chain, monkeypatch):
+        made = []
+        real = Engine.process
+        monkeypatch.setattr(Engine, "process",
+                            lambda eng, gen: made.append(gen) or real(eng, gen))
+        events, now = self._plain(chain)
+        assert made == []  # the runtime creates no Process
+        # one start event per core, then a dispatch and a charge per task
+        assert events == 2 + 2 * self.N
+        with generator_workers():
+            old_events, old_now = self._plain(chain)
+        assert len(made) == 2  # the oracle's two worker processes
+        assert (old_events, old_now) == (2 + 3 * self.N, now)
+
+    def _mixed(self):
+        """Sleep, BlockOn and busy-held Event bodies next to plain ones;
+        returns each core's and each task's accounting."""
+        eng, rt = make_rt(n_cores=2, dispatch_overhead=0.3e-6)
+        gate = eng.event()
+        fired = eng.event()
+        fired.succeed("early")
+        got = []
+
+        def sleeper(task):
+            task.charge(1e-6)
+            got.append((yield rt.wait_for_us(5)))
+            task.charge(0.5e-6)
+
+        def parked(task):
+            got.append((yield BlockOn(gate)))
+            task.charge(2e-6)
+
+        def held(task):
+            task.charge(0.25e-6)
+            got.append((yield task.compute(3e-6)))
+            got.append((yield fired))  # already triggered: no wait
+
+        tasks = []
+
+        def main(rt):
+            for body in (sleeper, parked, held, sleeper):
+                tasks.append(rt.submit(body, []))
+                tasks.append(rt.submit(charged("c", [], dur=1e-6), []))
+            yield eng.timeout(20e-6)
+            gate.succeed("open")
+            yield from rt.taskwait()
+
+        run_all(eng, [rt.spawn_main(main)])
+        return (eng.now, got,
+                [(w.busy_time, w.tasks_run) for w in rt.workers],
+                [(t.cpu_time, t.suspended_time, t.started_at, t.finished_at)
+                 for t in tasks])
+
+    def test_generator_bodies_account_as_the_oracle(self):
+        new = self._mixed()
+        with generator_workers():
+            old = self._mixed()
+        assert new == old
+        assert any(busy > 0 for busy, _ in new[2])
+        assert any(suspended > 0 for _, suspended, _, _ in new[3])
+
+    def _failing(self, how):
+        eng, rt = make_rt(n_cores=2)
+        boom = RuntimeError("boom")
+
+        def raises(task):
+            task.charge(1e-6)
+            raise boom
+
+        def holds_failed(task):
+            ev = eng.event()
+            ev.fail(boom, delay=2e-6)
+            yield ev
+
+        def main(rt):
+            rt.submit(charged("c", [], dur=3e-6), [])
+            rt.submit(raises if how == "raise" else holds_failed, [])
+            yield from rt.taskwait()
+
+        with pytest.raises(RuntimeError) as info:
+            run_all(eng, [rt.spawn_main(main)])
+        assert info.value is boom
+        return eng.now
+
+    @pytest.mark.parametrize("how", ["raise", "held-failed"])
+    def test_failure_aborts_at_the_oracle_instant(self, how):
+        now = self._failing(how)
+        with generator_workers():
+            assert self._failing(how) == now
