@@ -45,7 +45,6 @@ MPI_MODE_NOPRECEDE = 1 << 13
 MPI_MODE_NOSUCCEED = 1 << 14
 MPI_MODE_NOPUT = 1 << 12
 
-_win_ids = itertools.count()
 _rma_op_ids = itertools.count()
 
 
@@ -60,7 +59,8 @@ class Window:
                  info: Optional[Dict[str, bool]] = None):
         self.context = context
         self.engine = context.engine
-        self.win_id = next(_win_ids)
+        #: numbered per context, so traces do not depend on what else ran
+        self.win_id = len(context._windows)
         for r, b in buffers.items():
             if not b.flags["C_CONTIGUOUS"]:
                 raise MPIError(f"window buffer of rank {r} must be C-contiguous")
