@@ -1,9 +1,10 @@
 """Correctness analysis for the simulated stack (docs/analysis.md).
 
-Dynamic checkers (zero-cost when disabled, bit-identical when enabled):
+Dynamic checkers (bit-identical when enabled):
 
-* :class:`AnalysisPipeline` — the hook hub installed as
-  ``engine.analysis``; hosts the vector-clock RMA race detector
+* :class:`AnalysisPipeline` — a :class:`~repro.trace.Tracer` installed as
+  (or fanned out beside) ``engine.tracer`` that reads the typed emits the
+  checkers need; hosts the vector-clock RMA race detector
   (:mod:`repro.analysis.races`), the wait-for deadlock diagnoser
   (:mod:`repro.analysis.deadlock`), and the finalize-time resource lint
   (:mod:`repro.analysis.resources`). Enabled per job via
@@ -20,15 +21,12 @@ Static checkers:
   of a dynamic checker; ``examples/static/`` validates them
   differentially.
 
-This package's import-time dependencies are stdlib-only so the engine can
-import :data:`NULL_ANALYSIS` without cycles; the simulation-aware checkers
-load lazily when a pipeline is constructed.
+The simulation-aware checkers load lazily when a pipeline is constructed.
 """
 
 from repro.analysis.lint import LintFinding, lint_file, lint_paths
 from repro.analysis.static import verify_file, verify_paths
 from repro.analysis.pipeline import (
-    NULL_ANALYSIS,
     SEV_ERROR,
     SEV_WARNING,
     AnalysisError,
@@ -41,7 +39,6 @@ __all__ = [
     "AnalysisPipeline",
     "Finding",
     "LintFinding",
-    "NULL_ANALYSIS",
     "SEV_ERROR",
     "SEV_WARNING",
     "lint_file",

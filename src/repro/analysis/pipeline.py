@@ -1,11 +1,12 @@
-"""The checker pipeline core: findings and the null-analysis fast path.
+"""The checker pipeline core: findings, and the tracer that feeds them.
 
-Design constraints (identical to :mod:`repro.trace.tracer`):
+:class:`AnalysisPipeline` is a :class:`~repro.trace.Tracer`: it observes a
+run through ``engine.tracer`` like every other observer, reading the typed
+emits the checkers need and no generic record. Design constraints
+(identical to :mod:`repro.trace.tracer`):
 
-* **Zero cost when disabled.** Every hook site in the stack is written as
-  ``an = engine.analysis; if an.enabled: an.on_...()`` — with the
-  process-wide :data:`NULL_ANALYSIS` installed (the default), the per-site
-  cost is one attribute read and a falsy branch, and *nothing* is checked.
+* **One observer hook.** With no pipeline installed nothing is checked, at
+  the cost of the ``tr.enabled`` branch every instrumented site has anyway.
 * **Deterministic.** Findings carry only simulated time and model state —
   never wall-clock or object ids — so identical seeds produce identical
   findings (asserted by ``tests/test_analysis.py``).
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.trace.tracer import UNRECORDED, FanOut, Tracer
 
 #: finding severities: ``error`` findings fail a ``check="strict"`` run;
 #: ``warning`` findings are reported but tolerated (e.g. the trailing
@@ -79,7 +82,7 @@ class WaitRecord:
     info: Dict[str, object] = field(default_factory=dict)
 
 
-class AnalysisPipeline:
+class AnalysisPipeline(Tracer):
     """Collects correctness findings from the instrumented stack.
 
     Parameters
@@ -91,17 +94,28 @@ class AnalysisPipeline:
         findings were recorded (``JobSpec(check="strict")``).
     """
 
-    enabled = True
+    #: no generic record, and of the recorded emits only these five
+    reads = frozenset(("task_submit", "task_done", "msg_send", "msg_deliver",
+                       "gaspi_submit") + UNRECORDED)
 
     def __init__(self, races: bool = True, deadlock: bool = True,
                  resources: bool = True, strict: bool = False):
         from repro.analysis.deadlock import DeadlockDiagnoser
         from repro.analysis.races import RaceDetector
 
+        super().__init__(progress_every=None)
         self.strict = strict
         self.engine = None
-        self.race_detector: Optional[RaceDetector] = (
-            RaceDetector(self) if races else None)
+        self.race_detector: Optional[RaceDetector] = None
+        if races:
+            rd = self.race_detector = RaceDetector(self)
+            # the segment emits go straight to the race detector
+            self.put_delivered = rd.on_put_delivered
+            self.notify_delivered = rd.on_notify_delivered
+            self.remote_read = rd.on_remote_read
+            self.read_resp = rd.on_read_resp
+            self.notify_consumed = rd.on_consume
+            self.local_access = rd.on_local_access
         self.deadlock_diagnoser: Optional[DeadlockDiagnoser] = (
             DeadlockDiagnoser(self) if deadlock else None)
         self.check_resources = resources
@@ -120,19 +134,20 @@ class AnalysisPipeline:
         self.live_tasks: Dict[Tuple[str, int], object] = {}
         #: in-flight (sent, undelivered) messages: uid -> summary tuple
         self.inflight_msgs: Dict[int, Tuple] = {}
-        #: active blocking waits: token -> WaitRecord
-        self._waits: Dict[int, WaitRecord] = {}
-        self._wait_seq = 0
+        #: active blocking waits, in registration order: key -> WaitRecord
+        self._waits: Dict[object, WaitRecord] = {}
         self._finalized = False
 
     # ------------------------------------------------------------------
     # installation / layer registration
     # ------------------------------------------------------------------
     def install(self, engine) -> "AnalysisPipeline":
-        """Attach this pipeline as ``engine.analysis`` (the hook sites'
-        access path) and return it."""
+        """Observe ``engine``: become its tracer, or join the one it has
+        through a :class:`~repro.trace.tracer.FanOut`. Returns the
+        pipeline."""
         self.engine = engine
-        engine.analysis = self
+        tr = engine.tracer
+        engine.tracer = FanOut(tr, self) if tr.enabled else self
         return self
 
     def attach_cluster(self, cluster) -> None:
@@ -163,55 +178,18 @@ class AnalysisPipeline:
         (self.findings if severity == SEV_ERROR else self.warnings).append(f)
         return f
 
-    @property
-    def error_count(self) -> int:
-        return len(self.findings)
-
     # ------------------------------------------------------------------
-    # GASPI hooks (repro.gaspi.proc)
+    # the emits the checkers read
     # ------------------------------------------------------------------
-    def on_gaspi_submit(self, rank, operation, queue, *, local_seg, local_off,
-                        dest, remote_seg, remote_off, count, notif_id,
-                        reqs) -> None:
+    def gaspi_submit(self, rank, operation, t0, grant, queue, count, depth,
+                     local_seg=None, local_off=0, dest=None, remote_seg=None,
+                     remote_off=0, notif_id=None) -> None:
         rd = self.race_detector
         if rd is not None:
             rd.on_submit(rank, operation, queue, local_seg, local_off, dest,
                          remote_seg, remote_off, count, notif_id)
 
-    def on_put_delivered(self, rank, msg) -> None:
-        rd = self.race_detector
-        if rd is not None:
-            rd.on_put_delivered(rank, msg)
-
-    def on_notify_delivered(self, rank, msg) -> None:
-        rd = self.race_detector
-        if rd is not None:
-            rd.on_notify_delivered(rank, msg)
-
-    def on_remote_read(self, rank, msg) -> None:
-        rd = self.race_detector
-        if rd is not None:
-            rd.on_remote_read(rank, msg)
-
-    def on_read_resp(self, rank, seg_id, offset, count) -> None:
-        rd = self.race_detector
-        if rd is not None:
-            rd.on_read_resp(rank, seg_id, offset, count)
-
-    def on_notify_consumed(self, rank, seg_id, notif_id, value) -> None:
-        rd = self.race_detector
-        if rd is not None:
-            rd.on_consume(rank, seg_id, notif_id, value)
-
-    def on_local_access(self, rank, seg_id, offset, count, mode) -> None:
-        rd = self.race_detector
-        if rd is not None:
-            rd.on_local_access(rank, seg_id, offset, count, mode)
-
-    # ------------------------------------------------------------------
-    # MPI / tasking / network hooks
-    # ------------------------------------------------------------------
-    def on_mpi_request(self, req) -> None:
+    def mpi_request(self, req) -> None:
         reqs = self.mpi_requests
         reqs.append(req)
         if len(reqs) >= self._mpi_prune_at:
@@ -221,36 +199,30 @@ class AnalysisPipeline:
             reqs[:] = [r for r in reqs if not r.done]
             self._mpi_prune_at = max(_MIN_PRUNE, 2 * len(reqs))
 
-    def on_task_submit(self, task, runtime) -> None:
+    def task_submit(self, runtime, task, preds) -> None:
         self.live_tasks[(runtime.name, task.uid)] = task
 
-    def on_task_complete(self, task, runtime) -> None:
+    def task_done(self, runtime, task) -> None:
         self.live_tasks.pop((runtime.name, task.uid), None)
 
-    def on_msg_send(self, msg) -> None:
+    def msg_send(self, msg, eid, t) -> None:
         self.inflight_msgs[msg.uid] = (
             msg.src_rank, msg.dst_rank, msg.protocol, msg.kind, msg.nbytes)
 
-    def on_msg_deliver(self, msg) -> None:
+    def msg_deliver(self, msg, eid, t) -> None:
         self.inflight_msgs.pop(msg.uid, None)
 
-    # ------------------------------------------------------------------
     # blocking-wait registry (deadlock diagnosis)
-    # ------------------------------------------------------------------
-    def wait_enter(self, rank, site: str, **info) -> int:
-        self._wait_seq += 1
-        token = self._wait_seq
-        self._waits[token] = WaitRecord(actor=_actor(rank), site=site,
-                                        since=self._now(), info=info)
-        return token
+    def wait_enter(self, key, rank, site: str, **info) -> None:
+        self._waits[key] = WaitRecord(actor=_actor(rank), site=site,
+                                      since=self._now(), info=info)
 
-    def wait_exit(self, token: Optional[int]) -> None:
-        if token is not None:
-            self._waits.pop(token, None)
+    def wait_exit(self, key) -> None:
+        self._waits.pop(key, None)
 
     @property
     def active_waits(self) -> List[WaitRecord]:
-        return [self._waits[k] for k in sorted(self._waits)]
+        return list(self._waits.values())
 
     # ------------------------------------------------------------------
     # diagnosis & finalize
@@ -288,23 +260,3 @@ class AnalysisPipeline:
         for f in self.findings + self.warnings:
             lines.append(f"  {f}")
         return "\n".join(lines)
-
-
-class _NullAnalysis:
-    """Do-nothing stand-in; ``enabled`` is False so instrumented code never
-    calls past the guard. A process-wide singleton is shared by default."""
-
-    enabled = False
-    strict = False
-    findings: List[Finding] = []
-    warnings: List[Finding] = []
-
-    def deadlock_report(self) -> str:
-        return ""
-
-    def finalize(self) -> List[Finding]:
-        return []
-
-
-#: process-wide disabled pipeline (``Engine``'s default ``analysis``)
-NULL_ANALYSIS = _NullAnalysis()

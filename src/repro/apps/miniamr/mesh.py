@@ -183,20 +183,6 @@ class Mesh:
                     # b sends its face data to nb
                     self.pairs.append((b, nb, face))
 
-    def pairs_for_rank(self, rank: int):
-        """(outgoing, incoming) cross-rank directed pairs of ``rank``, as
-        indices into :attr:`pairs`."""
-        out_p, in_p = [], []
-        for i, (src, dst, _f) in enumerate(self.pairs):
-            so, do = self.owner[src], self.owner[dst]
-            if so == do:
-                continue
-            if so == rank:
-                out_p.append(i)
-            elif do == rank:
-                in_p.append(i)
-        return out_p, in_p
-
     def local_blocks(self, rank: int) -> List[BlockKey]:
         return [b for b in self.order if self.owner[b] == rank]
 

@@ -83,7 +83,3 @@ class ObjectPool:
     def release(self, obj: PendingNotification) -> None:
         obj.clear()
         self._free.append(obj)
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free)

@@ -113,8 +113,8 @@ class GaspiRank:
     def segment_access(self, seg_id: int, offset: int, count: int,
                        mode: str = "read") -> None:
         """Declare a local compute access to ``[offset, offset+count)`` of
-        the local segment for the RMA race detector (no-op when analysis is
-        disabled, zero simulation cost always).
+        the local segment for the RMA race detector (a no-op unless the
+        checkers observe, zero simulation cost always).
 
         Applications call this where real code would touch segment memory
         directly — e.g. before consuming received halo bytes — so the
@@ -124,9 +124,9 @@ class GaspiRank:
         if mode not in ("read", "write"):
             raise GaspiError(f"bad access mode {mode!r}")
         self.segment(seg_id)  # validate the id even when disabled
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_local_access(self.rank, seg_id, offset, count, mode)
+        tr = self.engine.tracer
+        if tr.enabled:
+            tr.local_access(self.rank, seg_id, offset, count, mode)
 
     # ------------------------------------------------------------------
     # the §IV-C extension: tagged submission + fine-grained completion
@@ -225,19 +225,13 @@ class GaspiRank:
         else:  # pragma: no cover - low_level_requests already validated
             raise GaspiError(f"unknown operation {operation!r}")
 
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_gaspi_submit(
-                self.rank, operation, queue, local_seg=local_seg,
-                local_off=local_off, dest=dest, remote_seg=remote_seg,
-                remote_off=remote_off, count=count, notif_id=notif_id,
-                reqs=reqs)
         tr = self.engine.tracer
         if tr.enabled:
             # submit span: API entry -> queue-device grant (lock contention
             # on the queue shows up as the span stretching past _c_op)
             tr.gaspi_submit(self.rank, operation, now, grant, queue, count,
-                            q.depth)
+                            q.depth, local_seg, local_off, dest, remote_seg,
+                            remote_off, notif_id)
         return reqs
 
     def request_wait(
@@ -268,9 +262,9 @@ class GaspiRank:
                                timeout: float) -> Generator:
         eng = self.engine
         deadline = eng.now + timeout
-        an = eng.analysis
-        token = an.wait_enter(self.rank, "request_wait",
-                              queue=queue) if an.enabled else None
+        tr, wait = eng.tracer, object()
+        if tr.enabled:
+            tr.wait_enter(wait, self.rank, "request_wait", queue=queue)
         try:
             while True:
                 done = q.harvest(max_reqs, eng.now)
@@ -286,8 +280,8 @@ class GaspiRank:
                 wake = min(wake, deadline)
                 yield eng.timeout(max(wake - eng.now, 0.0))
         finally:
-            if an.enabled:
-                an.wait_exit(token)
+            if tr.enabled:
+                tr.wait_exit(wait)
 
     # ------------------------------------------------------------------
     # standard-style convenience wrappers
@@ -332,9 +326,9 @@ class GaspiRank:
         arrived. The primitive TAGASPI's poller is built on."""
         val = self.segment(seg_id).consume(notif_id)
         if val is not None:
-            an = self.engine.analysis
-            if an.enabled:
-                an.on_notify_consumed(self.rank, seg_id, notif_id, val)
+            tr = self.engine.tracer
+            if tr.enabled:
+                tr.notify_consumed(self.rank, seg_id, notif_id, val)
         return val
 
     def notify_waitsome(self, seg_id: int, begin: int, count: int,
@@ -351,16 +345,16 @@ class GaspiRank:
             raise GaspiError(f"negative timeout {timeout}")
         seg = self.segment(seg_id)
         deadline = self.engine.now + timeout
-        an = self.engine.analysis
-        token = an.wait_enter(self.rank, "notify_waitsome", seg=seg_id,
-                              begin=begin, count=count) if an.enabled else None
+        tr, wait = self.engine.tracer, object()
+        if tr.enabled:
+            tr.wait_enter(wait, self.rank, "notify_waitsome", seg=seg_id,
+                          begin=begin, count=count)
         try:
             while True:
                 hit = seg.consume_any(begin, count)
                 if hit is not None:
-                    if an.enabled:
-                        an.on_notify_consumed(self.rank, seg_id, hit[0],
-                                              hit[1])
+                    if tr.enabled:
+                        tr.notify_consumed(self.rank, seg_id, *hit)
                     return hit
                 now = self.engine.now
                 if now >= deadline:
@@ -369,8 +363,8 @@ class GaspiRank:
                 yield self.engine.timeout(
                     min(self._poll_backoff(), deadline - now))
         finally:
-            if an.enabled:
-                an.wait_exit(token)
+            if tr.enabled:
+                tr.wait_exit(wait)
 
     def wait(self, queue: int, timeout: float = GASPI_BLOCK) -> Generator:
         """Legacy coarse-grained gaspi_wait: block until *all* operations
@@ -382,9 +376,9 @@ class GaspiRank:
             raise GaspiError(f"negative timeout {timeout}")
         q = self._queue(queue, op="wait")
         deadline = self.engine.now + timeout
-        an = self.engine.analysis
-        token = an.wait_enter(self.rank, "gaspi_wait",
-                              queue=queue) if an.enabled else None
+        tr, wait = self.engine.tracer, object()
+        if tr.enabled:
+            tr.wait_enter(wait, self.rank, "gaspi_wait", queue=queue)
         try:
             while True:
                 q.harvest(len(q.inflight), self.engine.now)
@@ -402,8 +396,8 @@ class GaspiRank:
                     yield self.engine.timeout(
                         min(self._poll_backoff(), deadline - now))
         finally:
-            if an.enabled:
-                an.wait_exit(token)
+            if tr.enabled:
+                tr.wait_exit(wait)
 
     # ------------------------------------------------------------------
     # failure handling: health vector and queue purge (recovery support)
@@ -483,7 +477,7 @@ class GaspiRank:
     # ------------------------------------------------------------------
     def _handle(self, msg: Message) -> None:
         kind = msg.kind
-        an = self.engine.analysis
+        tr = self.engine.tracer
         if kind in (GASPI_OP_WRITE, GASPI_OP_WRITE_NOTIFY):
             seg = self.segment(msg.meta["remote_seg"])
             dst = seg.view(msg.meta["remote_off"], msg.payload.size)
@@ -492,19 +486,20 @@ class GaspiRank:
                 # data first, then the notification — same instant, so no
                 # observer can see the notification before the data
                 seg.post_notification(msg.meta["notif_id"], msg.meta["notif_val"])
-                self._trace_notify_arrival(msg)
-            if an.enabled:
-                an.on_put_delivered(self.rank, msg)
+                if tr.enabled:
+                    tr.notify_arrival(self.rank, msg, self.engine.now)
+            if tr.enabled:
+                tr.put_delivered(self.rank, msg)
         elif kind == GASPI_OP_NOTIFY:
             self.segment(msg.meta["remote_seg"]).post_notification(
                 msg.meta["notif_id"], msg.meta["notif_val"]
             )
-            self._trace_notify_arrival(msg)
-            if an.enabled:
-                an.on_notify_delivered(self.rank, msg)
+            if tr.enabled:
+                tr.notify_arrival(self.rank, msg, self.engine.now)
+                tr.notify_delivered(self.rank, msg)
         elif kind == "read_req":
-            if an.enabled:
-                an.on_remote_read(self.rank, msg)
+            if tr.enabled:
+                tr.remote_read(self.rank, msg)
             src = self.segment(msg.meta["remote_seg"]).view(
                 msg.meta["remote_off"], msg.meta["count"]
             )
@@ -528,19 +523,12 @@ class GaspiRank:
                     f"{msg.meta['op_id']}"
                 )
             req, seg_id, off, count = entry
-            if an.enabled:
-                an.on_read_resp(self.rank, seg_id, off, count)
+            if tr.enabled:
+                tr.read_resp(self.rank, seg_id, off, count)
             self.segment(seg_id).view(off, count)[:] = msg.payload
             req.done_at = self.engine.now
         else:  # pragma: no cover - defensive
             raise GaspiError(f"unknown gaspi message kind {kind!r}")
-
-    def _trace_notify_arrival(self, msg: Message) -> None:
-        """Causal edge for late-notification analysis: the sim time the
-        notification became visible in the destination segment."""
-        tr = self.engine.tracer
-        if tr.enabled:
-            tr.notify_arrival(self.rank, msg, self.engine.now)
 
     # ------------------------------------------------------------------
     def _queue(self, queue: int, op: Optional[str] = None) -> GaspiQueue:

@@ -61,8 +61,8 @@ class JobSpec:
     #: fault scenario (repro.faults); None or an empty plan leaves the
     #: simulation bit-identical to a fault-free run
     faults: Optional[FaultPlan] = None
-    #: correctness analysis (repro.analysis): None disables every checker
-    #: (zero-cost); "report" runs them and keeps findings on
+    #: correctness analysis (repro.analysis): None disables every checker;
+    #: "report" runs them (on ``engine.tracer``) and keeps findings on
     #: ``job.analysis``; "strict" additionally raises
     #: :class:`repro.analysis.AnalysisError` on any error-severity finding.
     #: Checked runs are bit-identical to unchecked ones.
@@ -117,7 +117,9 @@ class Job:
 
     ``tracer`` (a :class:`repro.trace.Tracer`) enables timeline recording
     across every instrumented layer; by default the zero-cost null tracer
-    is installed. :attr:`registry` holds one metrics collector per layer;
+    is installed. :attr:`tracer` stays that observer when ``spec.check``
+    adds the checkers beside it on ``engine.tracer`` (:attr:`analysis`).
+    :attr:`registry` holds one metrics collector per layer;
     :meth:`run` sweeps it into :attr:`metrics` after the job completes.
     """
 

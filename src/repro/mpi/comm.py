@@ -118,9 +118,9 @@ class MPIRank:
         nbytes = buffer_nbytes(buf)
         req = Request(self.engine, "send", self.rank, dest, tag, buf, nbytes)
         self.stats_isends += 1
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_mpi_request(req)
+        tr = self.engine.tracer
+        if tr.enabled:
+            tr.mpi_request(req)
         grant = self.lock.enter(self._c_call, "isend")
         depart = grant.end - self.engine.now
         if nbytes <= self._eager_max:
@@ -177,13 +177,13 @@ class MPIRank:
             validate_tag(tag)
         n = len(bufs)
         reqs: List[Request] = []
-        an = self.engine.analysis
+        tr = self.engine.tracer
         for buf, tag, nbytes in zip(bufs, tags, sizes):
             req = Request(self.engine, "send", self.rank, dest, tag, buf,
                           nbytes)
             self.stats_isends += 1
-            if an.enabled:
-                an.on_mpi_request(req)
+            if tr.enabled:
+                tr.mpi_request(req)
             reqs.append(req)
         now = self.engine.now
         unit = self._c_call
@@ -252,9 +252,9 @@ class MPIRank:
         nbytes = buffer_nbytes(buf)
         req = Request(self.engine, "recv", self.rank, source, tag, buf, nbytes)
         self.stats_irecvs += 1
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_mpi_request(req)
+        tr = self.engine.tracer
+        if tr.enabled:
+            tr.mpi_request(req)
         grant = self.lock.enter(self._c_call, "irecv")
         msg = self.matching.post_recv(req)
         if msg is not None:
@@ -326,48 +326,39 @@ class MPIRank:
         """MPI_Wait: suspend the calling process until completion."""
         self.lock.enter(self._c_call, "wait")
         if not req.done:
-            an = self.engine.analysis
-            token = an.wait_enter(self.rank, "mpi_wait", peer=req.peer,
-                                  tag=req.tag,
-                                  kind=req.kind) if an.enabled else None
-            t0 = self.engine.now
-            try:
-                yield req.wait_event()
-            finally:
-                if an.enabled:
-                    an.wait_exit(token)
-                tr = self.engine.tracer
-                if tr.enabled:
-                    tr.span("mpi", "wait.block", t0, self.engine.now,
-                            rank=self.rank, kind=req.kind, peer=req.peer,
-                            tag=req.tag, sent_at=req.sent_at)
+            yield from self._block("wait", (req,), req.wait_event())
 
     def waitall(self, reqs: Sequence[Request]) -> Generator:
         """MPI_Waitall over a request list."""
         self.lock.enter(self._c_call, "waitall")
         still = [r for r in reqs if not r.done]
         if still:
-            an = self.engine.analysis
-            tokens = [an.wait_enter(self.rank, "mpi_waitall", peer=r.peer,
-                                    tag=r.tag, kind=r.kind)
-                      for r in still] if an.enabled else []
-            t0 = self.engine.now
-            try:
-                yield self.engine.all_of([r.wait_event() for r in still])
-            finally:
-                if an.enabled:
-                    for token in tokens:
-                        an.wait_exit(token)
-                tr = self.engine.tracer
-                if tr.enabled:
-                    now = self.engine.now
-                    for r in still:
-                        # per-request blocked interval, clamped to the call
-                        done = r.completed_at if r.completed_at is not None else now
-                        t1 = min(max(done, t0), now)
-                        tr.span("mpi", "waitall.block", t0, t1,
-                                rank=self.rank, kind=r.kind, peer=r.peer,
-                                tag=r.tag, sent_at=r.sent_at)
+            yield from self._block(
+                "waitall", still,
+                self.engine.all_of([r.wait_event() for r in still]))
+
+    def _block(self, op: str, reqs: Sequence[Request], event,
+               spans: bool = True) -> Generator:
+        """Suspend on ``event``, each of ``reqs`` a blocked ``mpi_<op>``
+        wait meanwhile; then, with ``spans``, one ``mpi_block`` per
+        request, its interval clamped to the call."""
+        tr = self.engine.tracer
+        t0 = self.engine.now
+        if tr.enabled:
+            for r in reqs:
+                tr.wait_enter(r, self.rank, "mpi_" + op, peer=r.peer,
+                              tag=r.tag, kind=r.kind)
+        try:
+            yield event
+        finally:
+            if tr.enabled:
+                now = self.engine.now
+                for r in reqs:
+                    tr.wait_exit(r)
+                    if spans:
+                        done = (now if r.completed_at is None
+                                else min(max(r.completed_at, t0), now))
+                        tr.mpi_block(self.rank, op, r, t0, done)
 
     # ------------------------------------------------------------------
     # collectives (generator-shaped, built on point-to-point)
@@ -650,24 +641,15 @@ class MPIProcDriver:
             yield from self.sync()
         t0 = self.now
         mpi.lock.enter(mpi._c_call, op, at=t0)
-        an = self.engine.analysis
         for r in reqs:
             if r.completed_at is None:  # nothing matched it yet: suspend
-                token = an.wait_enter(mpi.rank, "mpi_" + op, peer=r.peer,
-                                      tag=r.tag, kind=r.kind) if an.enabled else None
-                try:
-                    yield r.wait_event()
-                finally:
-                    if an.enabled:
-                        an.wait_exit(token)
+                yield from mpi._block(op, (r,), r.wait_event(), spans=False)
         tr = self.engine.tracer
         for r in reqs:
             if r.completed_at > t0:
                 self._t = max(self._t, r.completed_at)
                 if tr.enabled:
-                    tr.span("mpi", op + ".block", t0, r.completed_at,
-                            rank=mpi.rank, kind=r.kind, peer=r.peer,
-                            tag=r.tag, sent_at=r.sent_at)
+                    tr.mpi_block(mpi.rank, op, r, t0, r.completed_at)
 
     def barrier(self) -> Generator:
         yield from self.sync()

@@ -34,8 +34,9 @@ floating point, because ``a + (b + c) != (a + b) + c``:
   (see :mod:`repro.network.topology`), so the batch producer has nothing
   to reproduce there — the records themselves are bit-identical.
 
-When a batch does not qualify for this path (mixed channels, active
-tracer/analysis/fault-injector, node-local and remote messages mixed),
+When a batch does not qualify for this path (mixed channels, an observer
+on ``engine.tracer``, an active fault injector, node-local and remote
+messages mixed),
 :meth:`Cluster.send_batch` falls back to the exact per-message loop.
 """
 
@@ -53,14 +54,14 @@ def batch_eligible(cluster, msgs: Sequence[Message]) -> bool:
     """True if ``msgs`` can take the vectorized wire path.
 
     Requirements: a non-empty batch on a single (src_rank, dst_rank,
-    protocol) channel, no tracer, no analysis pipeline, and no active
-    fault plan — each of those hooks observes individual sends, so such
-    batches fall back to the exact per-message loop.
+    protocol) channel, no observer on ``engine.tracer`` (trace, perf or
+    checkers) and no active fault plan — each of those observes individual
+    sends, so such batches fall back to the exact per-message loop.
     """
     if not msgs:
         return False
     eng = cluster.engine
-    if eng.tracer.enabled or eng.analysis.enabled:
+    if eng.tracer.enabled:
         return False
     if cluster.injector is not None and cluster.injector.active:
         return False

@@ -236,9 +236,6 @@ class Cluster:
         eng = self.engine
         now = eng.now + depart_delay
         msg.injected_at = now
-        an = eng.analysis
-        if an.enabled:
-            an.on_msg_send(msg)
         tr0 = eng.tracer
         if tr0.enabled:
             eid = self._next_edge_id
@@ -415,7 +412,7 @@ class Cluster:
         stats, and RNG stream (see :mod:`repro.network.batch` for the
         bit-exactness argument). The vectorized path requires a single
         (src_rank, dst_rank, protocol) channel and no per-message
-        observers (tracer, analysis pipeline, active fault plan);
+        observers (anything on ``engine.tracer``, an active fault plan);
         anything else falls back to the exact per-message loop.
         """
         from repro.network.batch import batch_eligible, send_batch
@@ -438,9 +435,6 @@ class Cluster:
 
     def _deliver(self, msg: Message) -> None:
         msg.delivered_at = self.engine.now
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_msg_deliver(msg)
         tr = self.engine.tracer
         if tr.enabled:
             eid = self._edge_ids.pop(msg.uid, None)

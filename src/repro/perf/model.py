@@ -827,7 +827,8 @@ class PerfTracer(Tracer):
             rank, t, pending.seg_id, pending.notif_id, pending.task.uid,
             pending.registered_at, False)
 
-    def gaspi_submit(self, rank, operation, t0, grant, queue, count, depth):
+    def gaspi_submit(self, rank, operation, t0, grant, queue, count, depth,
+                     *addressing):
         self.model.gaspi_wait(rank, grant.end, grant.wait)
 
     def notify_arrival(self, rank, msg, t):

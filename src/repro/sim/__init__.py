@@ -20,7 +20,7 @@ Design goals (see DESIGN.md §1):
 """
 
 from repro.sim.engine import Engine, Interrupt, SimulationError
-from repro.sim.events import Event, Timeout, AllOf, AnyOf
+from repro.sim.events import Event, Timeout, AllOf
 from repro.sim.process import Process
 from repro.sim.resources import Mutex
 from repro.sim.rng import SeedSequence, derive_rng
@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
     "Mutex",
     "SeedSequence",

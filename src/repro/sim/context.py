@@ -17,16 +17,7 @@ an event only at its next ``sync()``.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from repro.sim.engine import Engine
-
-
-class CpuSink(Protocol):
-    """Anything that can absorb charged CPU seconds."""
-
-    def charge(self, seconds: float) -> None:  # pragma: no cover - protocol
-        ...
 
 
 class AccumulatingSink:

@@ -45,7 +45,6 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from repro.analysis.pipeline import NULL_ANALYSIS
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 _INF = float("inf")
@@ -95,7 +94,6 @@ class Engine:
         "_event_count",
         "_cancelled",
         "tracer",
-        "analysis",
         "_progress_t0",
         "current_context",
     )
@@ -126,12 +124,9 @@ class Engine:
         self._event_count = 0
         #: lazily-cancelled entries still sitting in the queue lanes
         self._cancelled = 0
-        #: tracing sink read by every instrumented layer via ``engine.tracer``
+        #: the one observer hook, read by every instrumented layer: a
+        #: recording tracer, the perf fold, the checkers, or a fan-out
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        #: correctness-checker pipeline read by the instrumented layers via
-        #: ``engine.analysis`` (see :mod:`repro.analysis`); the shared null
-        #: pipeline keeps the disabled path to one attribute read + branch
-        self.analysis = NULL_ANALYSIS
         self._progress_t0 = 0.0
         #: CPU-charge sink of the code currently executing (see
         #: :mod:`repro.sim.context`); managed by executors, read by substrates.
@@ -313,7 +308,7 @@ class Engine:
 
     def _observing(self) -> bool:
         """True if anything can emit a record per fired event: a ``trace``
-        callable, or an enabled tracer with ``engine_events`` or a
+        callable, or a live tracer with ``engine_events`` or a
         ``progress_every`` period. A tracer that only collects the other
         layers' emits (``progress_every=None``: the ``PerfTracer`` of a
         ``perf=True`` job) leaves the dispatch loop hook-free."""
@@ -349,14 +344,12 @@ class Engine:
             f"events still pending")
 
     def diagnosed(self, msg: str) -> SimulationError:
-        """``SimulationError(msg)``; with the analysis pipeline enabled the
+        """``SimulationError(msg)``; with the checkers observing, the
         wait-for diagnosis is appended, so a drained queue or a budget hit
         caused by a communication deadlock names the cycle."""
-        an = self.analysis
-        if an.enabled:
-            report = an.deadlock_report()
-            if report:
-                msg += "\n" + report
+        report = self.tracer.deadlock_report()
+        if report:
+            msg += "\n" + report
         return SimulationError(msg)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None,

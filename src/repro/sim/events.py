@@ -5,8 +5,8 @@ either successfully (carrying a value) or as a failure (carrying an
 exception). Processes wait on events by ``yield``-ing them; arbitrary code
 can also attach callbacks.
 
-The composite events :class:`AllOf` / :class:`AnyOf` mirror SimPy's condition
-events but only in the small form the reproduction needs.
+The composite event :class:`AllOf` mirrors SimPy's condition event in the
+small form the reproduction needs.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ class Timeout(Event):
         self.succeed(value, delay)
 
 
-class _Condition(Event):
-    """Shared machinery for AllOf / AnyOf."""
+class AllOf(Event):
+    """Fires when every child event has fired; value is the list of values.
+    A child that fails fails it (and is defused)."""
 
     __slots__ = ("_events", "_pending_count")
 
@@ -154,65 +155,18 @@ class _Condition(Event):
         self._events = events
         self._pending_count = 0
         for ev in events:
-            if ev.triggered:
-                self._observe(ev)
-            else:
+            if not ev.triggered:
                 self._pending_count += 1
                 ev.add_callback(self._on_child)
-        if not self._scheduled and not self._triggered and self._satisfied():
-            self.succeed(self._result())
+        if not self._pending_count:
+            self.succeed([ev.value for ev in events])
 
     def _on_child(self, ev: Event) -> None:
         self._pending_count -= 1
-        self._observe(ev)
         if self._scheduled or self._triggered:
             return
         if ev.ok is False:
             ev._defused = True
             self.fail(ev.value)  # type: ignore[arg-type]
-        elif self._satisfied():
-            self.succeed(self._result())
-
-    def _observe(self, ev: Event) -> None:  # pragma: no cover - overridden
-        pass
-
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _result(self) -> object:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value is the list of values."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._pending_count == 0
-
-    def _result(self) -> object:
-        return [ev.value for ev in self._events]
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires; value is that event's value."""
-
-    __slots__ = ("_first",)
-
-    def __init__(self, engine: Engine, events: List[Event]):
-        self._first: Optional[Event] = None
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        super().__init__(engine, events)
-
-    def _observe(self, ev: Event) -> None:
-        if self._first is None:
-            self._first = ev
-
-    def _satisfied(self) -> bool:
-        return self._first is not None
-
-    def _result(self) -> object:
-        assert self._first is not None
-        return self._first.value
+        elif not self._pending_count:
+            self.succeed([e.value for e in self._events])

@@ -70,6 +70,3 @@ class SerialDevice:
             st.total_wait_time += wait
         st.total_hold_time += hold
         return ServiceGrant(start=start, end=end, wait=wait)
-
-    def reset_stats(self) -> None:
-        self.stats = LockStats()

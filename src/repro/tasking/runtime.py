@@ -122,9 +122,6 @@ class Runtime:
         charge_current(self.engine, cost)
         self.stats.tasks_created += 1
         self._outstanding += 1
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_task_submit(task, self)
         tr = self.engine.tracer
         if tr.enabled:
             preds: List[Task] = []
@@ -173,15 +170,15 @@ class Runtime:
         if self._outstanding > 0:
             ev = Event(self.engine)
             self._taskwait_waiters.append(ev)
-            an = self.engine.analysis
-            token = an.wait_enter(
-                self.name, "taskwait",
-                outstanding=self._outstanding) if an.enabled else None
+            tr = self.engine.tracer
+            if tr.enabled:
+                tr.wait_enter(ev, self.name, "taskwait",
+                              outstanding=self._outstanding)
             try:
                 yield ev
             finally:
-                if an.enabled:
-                    an.wait_exit(token)
+                if tr.enabled:
+                    tr.wait_exit(ev)
 
     # ------------------------------------------------------------------
     # in-task services
@@ -237,15 +234,12 @@ class Runtime:
             raise TaskingError(f"{task!r} completed twice")
         task.state = TaskState.COMPLETED
         task.completed_at = self.engine.now
-        an = self.engine.analysis
-        if an.enabled:
-            an.on_task_complete(task, self)
         tr = self.engine.tracer
-        if tr.enabled and task.completed_at > task.finished_at:
-            # body returned but external events held completion (grey tasks
-            # of the paper's Fig. 1)
-            tr.event_wait(self, task)
         if tr.enabled:
+            if task.completed_at > task.finished_at:
+                # body returned but external events held completion (grey
+                # tasks of the paper's Fig. 1)
+                tr.event_wait(self, task)
             tr.task_done(self, task)
         st = self.stats
         st.tasks_completed += 1

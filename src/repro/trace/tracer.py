@@ -1,22 +1,42 @@
-"""The tracer core: typed records and the null-tracer fast path.
+"""The tracer core: typed records, the null tracer and the fan-out.
 
-Design constraints (mirroring Extrae's):
+Every observer of a run is a :class:`Tracer` installed as
+``engine.tracer``: a recording :class:`Tracer`, the ``perf`` fold
+(:class:`repro.perf.PerfTracer`) or the correctness checkers
+(:class:`repro.analysis.AnalysisPipeline`); :class:`FanOut` puts two of
+them behind the one attribute. Design constraints (mirroring Extrae's):
 
-* **Zero cost when disabled.** Every instrumentation site in the stack is
-  written as ``tr = engine.tracer; if tr.enabled: tr.span(...)`` — with the
-  process-wide :data:`NULL_TRACER` installed (the default), the per-site
-  cost is one attribute read and a falsy branch, and *nothing* is recorded.
+* **One branch when nothing observes.** Every instrumentation site in the
+  stack is written as ``tr = engine.tracer; if tr.enabled: tr.<emit>(...)``
+  — with the process-wide :data:`NULL_TRACER` installed (the default), the
+  per-site cost is one attribute read and a falsy branch.
 * **Deterministic.** Records carry only simulated time and model state —
   never wall-clock or object ids — so identical seeds produce identical
   traces (asserted by ``tests/test_determinism.py``).
-* **Passive.** Recording never schedules events, charges CPU, or otherwise
-  perturbs the simulation: a traced run is bit-identical in sim time to an
-  untraced one.
+* **Passive.** Observing never schedules events, charges CPU, or otherwise
+  perturbs the simulation: an observed run is bit-identical in sim time to
+  an unobserved one (``tests/test_observer_lattice.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional
+
+#: emits whose base implementation writes a record
+RECORDED = ("span", "instant", "counter", "task_submit", "ready_wait",
+            "onready_wait", "event_wait", "task_on_core", "task_done",
+            "mpi_call", "mpi_block", "iwait_pending", "op_submit",
+            "notify_immediate", "op_retired", "notify_fulfilled",
+            "gaspi_submit", "notify_arrival", "wire_span", "msg_send",
+            "msg_deliver")
+#: emits only the correctness checkers read: the base records nothing
+UNRECORDED = ("mpi_request", "put_delivered", "notify_delivered",
+              "remote_read", "read_resp", "notify_consumed", "local_access",
+              "wait_enter", "wait_exit")
+
+
+def _ignore(*args, **kwargs) -> None:
+    """An emit its tracer does not read."""
 
 
 class TraceRecord(NamedTuple):
@@ -54,6 +74,9 @@ class Tracer:
     """
 
     enabled = True
+    #: the emits this tracer acts on: every other one is a no-op here,
+    #: and a :class:`FanOut` does not call it
+    reads = frozenset(RECORDED)
 
     def __init__(self, engine_events: bool = False,
                  progress_every: Optional[int] = 10_000):
@@ -61,6 +84,9 @@ class Tracer:
             raise ValueError("progress_every must be >= 1 or None")
         self.engine_events = engine_events
         self.progress_every = progress_every
+        for name in RECORDED:
+            if name not in self.reads:
+                setattr(self, name, _ignore)
         self.records: List[TraceRecord] = []
 
     # ------------------------------------------------------------------
@@ -172,10 +198,19 @@ class Tracer:
                      uid=pending.task.uid,
                      registered_at=pending.registered_at)
 
+    def mpi_block(self, rank: int, op: str, req, t0: float,
+                  t1: float) -> None:
+        """``rank`` was blocked in MPI ``op`` on ``req`` from ``t0`` to
+        ``t1``."""
+        self.span("mpi", op + ".block", t0, t1, rank=rank, kind=req.kind,
+                  peer=req.peer, tag=req.tag, sent_at=req.sent_at)
+
     def gaspi_submit(self, rank: int, operation: str, t0: float, grant,
-                     queue: int, count: int, depth: int) -> None:
+                     queue: int, count: int, depth: int, local_seg=None,
+                     local_off=0, dest=None, remote_seg=None, remote_off=0,
+                     notif_id=None) -> None:
         """A GASPI submission from API entry to the queue-device grant,
-        then the queue's depth."""
+        then the queue's depth; the rest is the operation's addressing."""
         self.span("gaspi", operation, t0, grant.end, rank=rank, queue=queue,
                   count=count, wait=grant.wait)
         self.counter("gaspi", f"q{queue}.depth", grant.end, float(depth),
@@ -213,6 +248,16 @@ class Tracer:
                      src=msg.src_rank, protocol=msg.protocol, kind=msg.kind,
                      eid=eid)
 
+    # the emits only the checkers read record nothing here; their
+    # signatures are repro.analysis.AnalysisPipeline's
+    mpi_request = put_delivered = notify_delivered = remote_read = \
+        read_resp = notify_consumed = local_access = wait_enter = \
+        wait_exit = staticmethod(_ignore)
+
+    def deadlock_report(self) -> str:
+        """Wait-for diagnosis of the blocked state ("" when not checked)."""
+        return ""
+
     # ------------------------------------------------------------------
     # queries (used by tests, the text exporter, and the CLI)
     # ------------------------------------------------------------------
@@ -237,23 +282,41 @@ class _NullTracer(Tracer):
 
     Instrumentation sites check :attr:`enabled` before building any record
     arguments, so with this installed tracing costs one attribute read per
-    site. The no-op methods below are a second line of defence for call
-    sites that skip the guard.
+    site. It reads no emit, so each is a no-op: a second line of defence
+    for call sites that skip the guard.
     """
 
     enabled = False
+    reads = frozenset()
 
     def __init__(self):
         super().__init__(engine_events=False, progress_every=None)
 
-    def span(self, *a, **k) -> None:  # pragma: no cover - guarded call sites
-        pass
 
-    def instant(self, *a, **k) -> None:  # pragma: no cover
-        pass
+def _both(first, second):
+    def emit(*args, **kwargs) -> None:
+        first(*args, **kwargs)
+        second(*args, **kwargs)
+    return emit
 
-    def counter(self, *a, **k) -> None:  # pragma: no cover
-        pass
+
+class FanOut(Tracer):
+    """Two observers behind one ``engine.tracer``. Each emit a child reads
+    is bound once, here: straight to that child's method when only one
+    child reads it, to a call of both when both do."""
+
+    def __init__(self, first: Tracer, second: Tracer):
+        self.children = (first, second)
+        self.reads = first.reads | second.reads
+        super().__init__(first.engine_events or second.engine_events,
+                         first.progress_every or second.progress_every)
+        for name in self.reads:
+            fns = [getattr(c, name) for c in self.children if name in c.reads]
+            setattr(self, name, fns[0] if len(fns) == 1 else _both(*fns))
+
+    def deadlock_report(self) -> str:
+        return "\n".join(filter(None, (c.deadlock_report()
+                                       for c in self.children)))
 
 
 #: Process-wide null tracer installed on every engine by default.

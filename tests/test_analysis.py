@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    NULL_ANALYSIS,
     SEV_ERROR,
     SEV_WARNING,
     AnalysisError,
@@ -26,6 +25,8 @@ from repro.gaspi import GaspiContext
 from repro.harness import JobSpec, MARENOSTRUM4, VariantError, build_job, run_variants
 from repro.network import Cluster, INFINIBAND
 from repro.sim import Engine, SimulationError
+from repro.trace import NULL_TRACER
+from repro.trace.tracer import FanOut
 
 MACH4 = MARENOSTRUM4.with_cores(4)
 N = 32
@@ -325,10 +326,36 @@ class TestHarnessCheckAxis:
             JobSpec(machine=MACH4, n_nodes=1, variant="mpi", check="audit")
 
     def test_null_analysis_is_the_default(self):
-        assert Engine().analysis is NULL_ANALYSIS
-        assert NULL_ANALYSIS.enabled is False
+        """Checking is off unless asked for, and the checkers have no hook
+        of their own: an unchecked job's one observer is the null tracer."""
+        assert Engine().tracer is NULL_TRACER
+        assert not hasattr(Engine(), "analysis")
         job = build_job(JobSpec(machine=MACH4, n_nodes=1, variant="mpi"))
         assert job.analysis is None
+        assert job.engine.tracer is NULL_TRACER
+
+    def test_checkers_observe_through_engine_tracer(self):
+        """``check`` alone installs the pipeline as the tracer, off the
+        engine's per-event hook; with another observer the two share one
+        :class:`FanOut`, which calls a child directly for an emit only
+        that child reads."""
+        from repro.perf import PerfTracer
+
+        job = build_job(JobSpec(machine=MACH4, n_nodes=1, variant="mpi",
+                                check="report"))
+        assert job.engine.tracer is job.analysis
+        assert job.tracer is NULL_TRACER
+        assert not job.engine._observing()
+        job = build_job(JobSpec(machine=MACH4, n_nodes=1, variant="mpi",
+                                check="report", perf=True))
+        fan = job.engine.tracer
+        assert isinstance(fan, FanOut)
+        assert fan.children == (job.tracer, job.analysis)
+        assert isinstance(job.tracer, PerfTracer)
+        assert fan.mpi_request == job.analysis.mpi_request
+        assert fan.task_on_core == job.tracer.task_on_core
+        assert fan.span == job.tracer.span
+        assert not job.engine._observing()
 
     def test_paper_variants_strict_clean(self):
         """Acceptance: the paper's communication patterns carry no error

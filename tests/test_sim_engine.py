@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Engine, Interrupt, Mutex, SimulationError
 from repro.sim.engine import PRIORITY_URGENT
-from repro.sim.events import Event, Timeout, AllOf, AnyOf
+from repro.sim.events import Event, Timeout, AllOf
 from tests.conftest import ENGINE_SETUPS
 
 
@@ -120,22 +120,11 @@ class TestEvents:
         assert cond.value == ["a", "b"]
         assert eng.now == 3.0
 
-    def test_anyof_first_value(self):
-        eng = Engine()
-        cond = AnyOf(eng, [eng.timeout(3.0, "slow"), eng.timeout(1.0, "fast")])
-        eng.run(until=1.5)
-        assert cond.triggered and cond.value == "fast"
-
     def test_allof_empty_fires_immediately(self):
         eng = Engine()
         cond = AllOf(eng, [])
         eng.run()
         assert cond.triggered and cond.value == []
-
-    def test_anyof_empty_rejected(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            AnyOf(eng, [])
 
     def test_allof_with_already_triggered_children(self):
         eng = Engine()

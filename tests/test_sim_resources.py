@@ -107,9 +107,3 @@ class TestSerialDevice:
         assert g1.start == 1.0
         assert g2.start == 6.0 and g2.wait == pytest.approx(4.0)
 
-    def test_reset_stats(self):
-        eng = Engine()
-        dev = SerialDevice(eng)
-        dev.use(1.0)
-        dev.reset_stats()
-        assert dev.stats.acquisitions == 0
