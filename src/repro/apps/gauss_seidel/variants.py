@@ -86,9 +86,8 @@ def mpi_only_main(job: Job, params: GSParams, st: RankStorage):
         # step-0 bottom halo
         init_sends = []
         if st.has_upper:
-            # one library entry for the whole first-row halo: all blocks go
-            # to the same neighbour at the same instant, so the injection
-            # rides the vectorized Cluster.send_batch wire path
+            # one library entry (one lock grant) for the whole first-row
+            # halo: all blocks go to the same neighbour at the same instant
             row = st.first_row()
             # analysis-ok: consumed at t==0, and timesteps >= 1 is
             # validated (GSParams), so the zero-trip path cannot happen

@@ -155,10 +155,9 @@ class MPIRank:
         Models a batched injection path: the library lock is acquired once
         for ``n * mpi.call`` seconds and message *j* departs when its slice
         of the hold completes, so the grant arithmetic for a single-message
-        batch is bit-identical to :meth:`isend`. The wire side goes through
-        :meth:`Cluster.send_batch`, which is bit-identical to one
-        :meth:`Cluster.send` per message with the same departure delays
-        (``TestBatchWirePath`` in tests/test_network.py).
+        batch is bit-identical to :meth:`isend`. The single grant is the
+        MPI cost semantics; the wire side is one :meth:`Cluster.send` per
+        message at its departure delay (:meth:`Cluster.send_batch`).
 
         Any message larger than ``mpi.eager_threshold`` needs the
         rendezvous handshake, which cannot batch; those calls fall back to
@@ -188,20 +187,20 @@ class MPIRank:
         now = self.engine.now
         unit = self._c_call
         grant = self.lock.enter(n * unit, "isend_batch")
-        departs = np.empty(n, dtype=np.float64)
+        departs: List[float] = []
         msgs: List[Message] = []
         for j, (buf, tag, nbytes) in enumerate(zip(bufs, tags, sizes)):
             self.stats_eager += 1
             # message j leaves the library when its slice of the hold ends
-            departs[j] = (grant.start + (j + 1) * unit) - now
+            departs.append((grant.start + (j + 1) * unit) - now)
             payload = payload_copy(buf)
             msgs.append(Message(
                 self.rank, dest, "mpi", "eager", nbytes + CONTROL_BYTES,
                 payload, meta={"tag": tag},
             ))
-        local_done = self.cluster.send_batch(msgs, depart_delay=departs)
+        local_done = self.cluster.send_batch(msgs, departs)
         for req, done in zip(reqs, local_done):
-            req.complete_at(float(done))
+            req.complete_at(done)
         return reqs
 
     # -- rendezvous handshake retry (repro.faults) ---------------------

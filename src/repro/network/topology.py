@@ -391,42 +391,19 @@ class Cluster:
         node.transit_time = transit
         if len(times) == 1:
             eng.schedule_at(events[0], times[0])
-        elif times:
+        else:
             # Ingress grant ends are non-decreasing in drain order, so the
             # block is already sorted as schedule_batch requires.
-            eng.schedule_batch(np.asarray(times, dtype=np.float64), events)
+            eng.schedule_batch(times, events)
         if pending:
             self._arm_wake(node, pending[0][0])
 
     def send_batch(self, msgs: List[Message],
-                   depart_delay=0.0) -> "np.ndarray":
-        """Inject a batch of messages; returns the per-message
-        local-completion times as a float64 array.
-
-        ``depart_delay`` is a scalar applied to every message (the whole
-        batch departs at one instant) or a float64 array of per-message
-        delays — non-decreasing, as produced by back-to-back lock grants.
-
-        Observably identical to ``[self.send(m, d) for m, d in
-        zip(msgs, delays)]`` — same wire records and delivery order,
-        stats, and RNG stream (see :mod:`repro.network.batch` for the
-        bit-exactness argument). The vectorized path requires a single
-        (src_rank, dst_rank, protocol) channel and no per-message
-        observers (anything on ``engine.tracer``, an active fault plan);
-        anything else falls back to the exact per-message loop.
-        """
-        from repro.network.batch import batch_eligible, send_batch
-
-        if batch_eligible(self, msgs):
-            return send_batch(self, msgs, depart_delay)
-        if isinstance(depart_delay, np.ndarray):
-            return np.asarray(
-                [self.send(m, float(d)) for m, d in zip(msgs, depart_delay)],
-                dtype=np.float64,
-            )
-        return np.asarray(
-            [self.send(m, depart_delay) for m in msgs], dtype=np.float64
-        )
+                   delays: List[float]) -> List[float]:
+        """``[self.send(m, d) for m, d in zip(msgs, delays)]``: one
+        :meth:`send` per message, message *j* departing ``delays[j]``
+        after now. Returns the local-completion times."""
+        return [self.send(m, d) for m, d in zip(msgs, delays)]
 
     def _deliver_event(self, ev) -> None:
         """Delivery callback of every unfaulted send: the message rides in

@@ -10,19 +10,17 @@ Design goals (see DESIGN.md §1):
 * **Determinism** — events are ordered by ``(time, priority, sequence)``;
   two runs with the same seed produce identical traces.
 * **Coroutine processes** — simulated activities are plain Python
-  generators that ``yield`` awaitable events (timeouts, events, lock
-  acquisitions), in the style of SimPy but with a much smaller, auditable
-  core.
-* **Instrumentable resources** — :class:`~repro.sim.resources.Mutex`
-  records aggregate wait/hold time, which the evaluation harness uses to
-  reproduce the paper's "time spent inside the MPI locking system"
-  analysis (§VI-C).
+  generators that ``yield`` awaitable events (timeouts, events), in the
+  style of SimPy but with a much smaller, auditable core.
+* **Analytical contention** — a :class:`~repro.sim.serial.SerialDevice`
+  (a lock, a NIC channel) records aggregate wait/hold time without events,
+  which the evaluation harness uses to reproduce the paper's "time spent
+  inside the MPI locking system" analysis (§VI-C).
 """
 
 from repro.sim.engine import Engine, Interrupt, SimulationError
 from repro.sim.events import Event, Timeout, AllOf
 from repro.sim.process import Process
-from repro.sim.resources import Mutex
 from repro.sim.rng import SeedSequence, derive_rng
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "Timeout",
     "AllOf",
     "Process",
-    "Mutex",
     "SeedSequence",
     "derive_rng",
 ]

@@ -14,7 +14,9 @@ The queue has two lanes under that one order (docs/performance.md):
 * Normal-priority events scheduled with ``delay == 0`` — the dominant
   class in this code base: condition triggers, completion notifications,
   park/unpark signals — go to a FIFO *immediate lane* (a deque of bare
-  events; O(1) in, O(1) out). Everything else goes to the binary heap.
+  events; O(1) in, O(1) out). Everything else — positive delays, other
+  priorities, and the absolute times of :meth:`Engine.schedule_at` and a
+  wire drain's :meth:`Engine.schedule_batch` — goes to the binary heap.
   Because simulated time never runs backwards and ``seq`` grows
   monotonically, the lane is always sorted by ``(time, seq)`` by
   construction and every live lane entry fires at exactly ``now``;
@@ -41,9 +43,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from math import isfinite
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from repro.trace.tracer import NULL_TRACER, Tracer
 
@@ -201,49 +202,39 @@ class Engine:
         else:
             heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
-    def _diagnose_batch(self, arr: "np.ndarray") -> str:
-        """Name the first offending index of a rejected batch (a wire
-        drain builds its batch from records other senders queued, far from
-        where the times were computed, so "times must be ..." alone is
-        undebuggable)."""
-        size = f"(batch of {arr.shape[0]})"
-        finite = np.isfinite(arr)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            return f"schedule_batch: times[{i}]={arr[i]!r} is not finite {size}"
-        if arr[0] < self._now:
-            return f"schedule_batch: times[0]={arr[0]!r} < now={self._now!r} {size}"
-        i = int(np.argmax(np.diff(arr) < 0.0))
-        return (f"schedule_batch: times[{i + 1}]={arr[i + 1]!r} decreases from "
-                f"times[{i}]={arr[i]!r} {size}")
-
     def schedule_batch(self, times, events) -> None:
         """Schedule ``events[i]`` to fire at *absolute* time ``times[i]``
         (normal priority).
 
-        ``times`` must be non-decreasing, finite, and ``>= now`` — the
-        contract batch producers (the vectorized wire path) satisfy by
-        construction, checked here in two vectorized passes (a NaN anywhere
-        fails the first-element or diff comparison, an inf the isfinite
-        check on the largest element). Events receive consecutive ``seq``
-        numbers in array order, so the batch occupies one contiguous block
-        of the total ``(time, priority, seq)`` order: the observable fire
-        order is *identical* to calling :meth:`schedule` once per (time,
-        event) pair in array order.
+        ``times`` must be non-decreasing, finite and ``>= now`` — the
+        contract a wire drain satisfies by construction (ingress grant ends
+        come out in order). A rejected batch names its first offending
+        index, since a drain builds it from records other senders queued,
+        far from where the times were computed; nothing is queued then.
+        Events receive consecutive ``seq`` numbers in list order, so the
+        batch occupies one contiguous block of the total ``(time, priority,
+        seq)`` order: the fire order is *identical* to calling
+        :meth:`schedule_at` once per (time, event) pair in list order.
         """
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != len(events):
+        n = len(times)
+        if n != len(events):
             raise SimulationError(
-                f"schedule_batch: {arr.shape} times for {len(events)} events")
-        n = arr.shape[0]
-        if n and not (arr[0] >= self._now and np.isfinite(arr[n - 1])
-                      and (n < 2 or bool(np.all(np.diff(arr) >= 0.0)))):
-            raise SimulationError(self._diagnose_batch(arr))
-        # Ascending pushes keep each heappush O(1) amortized (the new
-        # entry never sifts past an earlier batch entry).
+                f"schedule_batch: {n} times for {len(events)} events")
+        prev = self._now
+        for i, t in enumerate(times):
+            if not prev <= t < _INF:
+                if not isfinite(t):
+                    why = "is not finite"
+                elif i == 0:
+                    why = f"< now={prev!r}"
+                else:
+                    why = f"decreases from times[{i - 1}]={prev!r}"
+                raise SimulationError(
+                    f"schedule_batch: times[{i}]={t!r} {why} (batch of {n})")
+            prev = t
         seq = self._seq
         heap = self._heap
-        for t, ev in zip(arr.tolist(), events):
+        for t, ev in zip(times, events):
             seq += 1
             heappush(heap, (t, PRIORITY_NORMAL, seq, ev))
         self._seq = seq

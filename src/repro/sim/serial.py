@@ -15,8 +15,8 @@ is charged ``(start - now) + hold`` seconds of CPU, and any side effects
 caller's timeline and the observable network timeline match a fully
 event-driven FIFO lock.
 
-Statistics mirror :class:`repro.sim.resources.LockStats` so the harness can
-report "time spent waiting inside the MPI locking system" (paper §VI-C).
+Each device keeps :class:`LockStats` so the harness can report "time spent
+waiting inside the MPI locking system" (paper §VI-C).
 """
 
 from __future__ import annotations
@@ -24,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.engine import Engine
-from repro.sim.resources import LockStats
+
+
+@dataclass
+class LockStats:
+    """Aggregate contention statistics of a :class:`SerialDevice`."""
+
+    acquisitions: int = 0
+    contended_acquisitions: int = 0
+    total_wait_time: float = 0.0
+    total_hold_time: float = 0.0
 
 
 @dataclass(slots=True)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.sim import Engine, Interrupt, Mutex, SimulationError
+from repro.sim import Engine, Interrupt, SimulationError
 from repro.sim.engine import PRIORITY_URGENT
 from repro.sim.events import Event, Timeout, AllOf
+from repro.sim.serial import SerialDevice
 from tests.conftest import ENGINE_SETUPS
 
 
@@ -255,19 +256,24 @@ class TestDeterminism:
             eng = Engine()
             trace = []
 
-            def worker(name, m):
-                yield m.acquire()
+            # three processes contend for one FIFO device: each waits for
+            # its grant, then holds it
+            dev = SerialDevice(eng)
+
+            def worker(name):
+                grant = dev.use(0.5)
+                yield eng.timeout(grant.wait)
                 trace.append((eng.now, name))
-                yield eng.timeout(0.5)
-                m.release()
+                yield eng.timeout(grant.end - eng.now)
 
-            m = Mutex(eng)
             for n in ("a", "b", "c"):
-                eng.process(worker(n, m))
+                eng.process(worker(n))
             eng.run()
-            return trace
+            return trace + [(dev.busy_until, dev.stats)]
 
-        assert run_once() == run_once()
+        first = run_once()
+        assert first[:3] == [(0.0, "a"), (0.5, "b"), (1.0, "c")]
+        assert first == run_once()
 
 
 class TestScheduleValidation:

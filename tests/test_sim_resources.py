@@ -1,67 +1,9 @@
-"""Unit tests for mutexes and serial devices."""
+"""Unit tests for serial devices."""
 
 import pytest
 
-from repro.sim import Engine, Mutex, SimulationError
+from repro.sim import Engine
 from repro.sim.serial import SerialDevice
-
-
-class TestMutex:
-    def test_fifo_ordering(self):
-        eng = Engine()
-        order = []
-
-        def worker(name, m, hold):
-            yield m.acquire()
-            order.append(name)
-            yield eng.timeout(hold)
-            m.release()
-
-        m = Mutex(eng)
-        for n in ("a", "b", "c"):
-            eng.process(worker(n, m, 1.0))
-        eng.run()
-        assert order == ["a", "b", "c"]
-
-    def test_wait_and_hold_accounting(self):
-        eng = Engine()
-        m = Mutex(eng)
-
-        def worker(hold):
-            yield m.acquire()
-            yield eng.timeout(hold)
-            m.release()
-
-        eng.process(worker(1.0))
-        eng.process(worker(2.0))
-        eng.run()
-        # second worker waits 1s for the first
-        assert m.stats.total_wait_time == pytest.approx(1.0)
-        assert m.stats.total_hold_time == pytest.approx(3.0)
-        assert m.stats.acquisitions == 2
-        assert m.stats.contended_acquisitions == 1
-
-    def test_try_acquire(self):
-        eng = Engine()
-        m = Mutex(eng)
-        assert m.try_acquire()
-        assert not m.try_acquire()
-        m.release()
-        assert m.try_acquire()
-
-    def test_release_unheld_raises(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            Mutex(eng).release()
-
-    def test_queue_depth(self):
-        eng = Engine()
-        m = Mutex(eng)
-        m.acquire()
-        m.acquire()
-        m.acquire()
-        assert m.queue_depth == 2
-        assert m.stats.max_queue_depth == 2
 
 
 class TestSerialDevice:
