@@ -8,9 +8,11 @@ factors, partitions, stalls), and accumulates :class:`FaultStats`.
 
 Installation is a single attribute hook: ``install(cluster)`` sets
 ``cluster.injector`` and schedules the plan's node stalls on the engine.
-The transport checks ``cluster.injector`` once per send — when no injector
-is installed (empty plan) the clean path runs with **zero** extra work and
-zero RNG draws, which is what makes empty-plan runs bit-identical.
+Every wire transmission takes the cluster's one transport path; an
+installed injector only changes its inputs (serialization and latency
+factors, the fate decided at the egress grant end, a reordered message's
+extra delay). With no injector installed (empty plan) that path draws no
+fault RNG, and a plan whose faults never fire leaves every time unchanged.
 
 All randomness is drawn in deterministic event order from the injector's
 own stream, never from the cluster's jitter stream, so enabling faults
@@ -112,8 +114,6 @@ class FaultInjector:
         self.rng = rng
         self.report = report if report is not None else FaultReport()
         self.stats = FaultStats()
-        #: non-empty plans put the transport on the fault-aware wire path
-        self.active = not plan.empty
         self.cluster = None
         # per-scripted-fault match counters (index-aligned with plan.scripted)
         self._script_seen: List[int] = [0] * len(plan.scripted)
@@ -156,6 +156,29 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # wire-message fate
     # ------------------------------------------------------------------
+    def fate(self, msg, src_node: int, dst_node: int, t: float, attempt: int,
+             is_copy: bool) -> str:
+        """The fate of one wire transmission whose egress grant ends at
+        ``t``: a partition drops it, else :meth:`wire_fate` decides. Every
+        fate but ``"ok"`` is traced."""
+        if self.partitioned(src_node, dst_node, t):
+            self.stats.partition_dropped += 1
+            self.trace(msg, "partition_drop", t, attempt)
+            return "drop"
+        fate = self.wire_fate(msg, attempt, is_copy)
+        if fate != "ok":
+            self.trace(msg, fate, t, attempt)
+        return fate
+
+    def trace(self, msg, what: str, t: float, attempt: int) -> None:
+        """Record the wire event ``what`` of ``msg`` as a ``faults`` instant."""
+        tr = self.engine.tracer
+        if tr.enabled:
+            # note: no msg.uid here — uids are process-global, and traces
+            # must stay byte-identical across same-seed runs
+            tr.instant("faults", what, t, rank=msg.src_rank, dst=msg.dst_rank,
+                       kind=msg.kind, attempt=attempt)
+
     def wire_fate(self, msg, attempt: int, is_copy: bool) -> str:
         """Decide what happens to one wire transmission: ``"ok"``,
         ``"drop"``, ``"duplicate"``, or ``"reorder"``.

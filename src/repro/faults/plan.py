@@ -189,8 +189,8 @@ class FaultPlan:
     drop_prob: float = 0.0
     dup_prob: float = 0.0
     reorder_prob: float = 0.0
-    #: mean extra latency a reordered message incurs (it also escapes the
-    #: per-channel FIFO floor, so later messages may overtake it)
+    #: mean extra latency a reordered message incurs (it also leaves its
+    #: channel's order, so later messages may overtake it)
     reorder_delay: float = 20e-6
 
     # -- scheduled / scripted faults ----------------------------------

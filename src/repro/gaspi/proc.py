@@ -419,7 +419,7 @@ class GaspiRank:
             state = GASPI_STATE_HEALTHY
             if r in self._conn_errors:
                 state = GASPI_STATE_CORRUPT
-            elif inj is not None and inj.active and r != self.rank:
+            elif inj is not None and r != self.rank:
                 node = self.cluster.node_of(r)
                 if (inj.partitioned(my_node, node, now)
                         or inj.node_stalled(node, now)
@@ -515,7 +515,7 @@ class GaspiRank:
                 # response to a read that was purged after a timeout (the
                 # op was re-submitted); drop it rather than overwrite
                 inj = self.cluster.injector
-                if inj is not None and inj.active:
+                if inj is not None:
                     inj.stats.stale_reads += 1
                     return
                 raise GaspiError(

@@ -47,9 +47,6 @@ class Machine:
     def with_cores(self, cores_per_node: int) -> "Machine":
         return replace(self, cores_per_node=cores_per_node)
 
-    def with_fabric(self, fabric: Fabric) -> "Machine":
-        return replace(self, fabric=fabric)
-
 
 #: Marenostrum4-like: Intel Xeon 8160 sockets, Omni-Path. The paper uses
 #: 48 cores/node; we scale to 8 (DESIGN.md §1).

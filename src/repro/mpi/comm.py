@@ -142,8 +142,7 @@ class MPIRank:
             )
             self.cluster.send(rts, depart_delay=depart)
             inj = self.cluster.injector
-            if (inj is not None and inj.active
-                    and inj.plan.rendezvous_retry):
+            if inj is not None and inj.plan.rendezvous_retry:
                 self._arm_rts_retry(req, dest, tag, nbytes, attempt=0)
         return req
 
@@ -286,7 +285,7 @@ class MPIRank:
             )
         self._pending_recvs[req.uid] = req
         inj = self.cluster.injector
-        if inj is not None and inj.active:
+        if inj is not None:
             # remember the handshake so a retried RTS maps back to this recv
             self._seen_rts[rts.meta["send_uid"]] = req.uid
         cts = Message(
@@ -479,7 +478,7 @@ class MPIRank:
         if msg.kind in ("eager", "rts"):
             if msg.kind == "rts":
                 inj = self.cluster.injector
-                if inj is not None and inj.active:
+                if inj is not None:
                     uid = msg.meta["send_uid"]
                     if uid in self._seen_rts:
                         # retried RTS for a handshake we already processed:
@@ -530,7 +529,7 @@ class MPIRank:
             if recv_req is None:
                 # duplicate data after a CTS retry race; already satisfied
                 inj = self.cluster.injector
-                if inj is not None and inj.active:
+                if inj is not None:
                     return
                 raise MPIError(f"data for unknown recv {msg.meta['recv_uid']}")
             copy_into(recv_req.buf, msg.payload)

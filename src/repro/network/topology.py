@@ -27,15 +27,25 @@ determinism rules below — per-source-node jitter streams and per-node
 transit-time partial sums. Changing any of them moves simulated time.
 
 Delivery order is forced to be monotone per (src_rank, dst_rank) even under
-jitter — a strictly stronger guarantee than GASPI's per-(queue, target)
-ordering, and what real fabrics provide per virtual channel. The clamp is
-applied to ``wire_arrive`` on the sender side, so the receiver-side grant
-scan sees per-channel non-decreasing arrivals.
+jitter and loss — a strictly stronger guarantee than GASPI's per-(queue,
+target) ordering, and what real fabrics provide per virtual channel. The
+clamp is applied to ``wire_arrive`` on the sender side, so the
+receiver-side grant scan sees per-channel non-decreasing arrivals.
+
+A fault injector does not change the path, only its inputs: it scales
+serialization and latency, decides each transmission's fate at its egress
+grant end and delays a reordered message. Retransmissions and duplicate
+copies are further transmissions on the same path. Under an injector each
+message gets a per-channel sequence number: the receiving NIC holds a
+message until every earlier one on its channel has been delivered or given
+up as lost, and drops a copy of one already delivered. Only a reordered
+message carries no number, so it alone leaves its channel's order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -51,10 +61,12 @@ DeliveryHandler = Callable[[Message], None]
 
 _INF = float("inf")
 
-#: A wire record: ``(wire_arrive, src_node, send#, ser, msg, local_done)``.
-#: ``send#`` is the source node's monotone out-counter, so the first three
-#: fields are unique per record and heap comparisons never reach ``msg``.
-WireRecord = Tuple[float, int, int, float, Message, float]
+#: A wire record: ``(wire_arrive, src_node, send#, ser, msg, local_done,
+#: seq)``. ``send#`` is the source node's monotone out-counter, so the first
+#: three fields are unique per record and heap comparisons never reach
+#: ``msg``. ``seq`` is the channel sequence number, ``None`` unless a fault
+#: injector is installed.
+WireRecord = Tuple[float, int, int, float, Message, float, Optional[int]]
 
 
 @dataclass
@@ -95,6 +107,21 @@ class Node:
         self.wake_time: float = _INF
         self.out_cnt = 0
         self.transit_time = 0.0
+
+
+class _Channel:
+    """Packet sequencing of one (src_rank, dst_rank) channel under a fault
+    injector. The sender numbers first transmissions with ``sent``; the
+    receiving NIC expects number ``next`` and keeps later numbers in
+    ``held`` as ``(msg, local_done, arrive)``, or ``None`` once given up as
+    lost."""
+
+    __slots__ = ("sent", "next", "held")
+
+    def __init__(self) -> None:
+        self.sent = 0
+        self.next = 0
+        self.held: Dict[int, Optional[Tuple[Message, float, float]]] = {}
 
 
 class Cluster:
@@ -140,11 +167,10 @@ class Cluster:
         # enqueued (receiver-side drains then see monotone channels)
         self._wire_clock: Dict[Tuple[int, int], float] = {}
         #: installed by repro.faults.FaultInjector.install(); None = perfect
-        #: fabric, and send() takes the original zero-overhead path
+        #: fabric
         self.injector = None
-        # duplicated-message bookkeeping for receiver-side NIC dedup
-        self._dup_tracked: set = set()
-        self._dup_seen: set = set()
+        # packet sequencing per (src_rank, dst_rank), only under an injector
+        self._channels = defaultdict(_Channel)
         # cluster-local edge ids for traced send->deliver causality; msg.uid
         # is process-global (never exported), so the tracer gets its own
         # deterministic counter plus a transient uid->eid map
@@ -247,12 +273,6 @@ class Cluster:
         intra = src_node == dst_node
         fab = self.fabric
 
-        # Wire (inter-node) messages take the fault-aware path when a
-        # non-empty fault plan is installed; node-local copies are never
-        # faulted. With no injector this costs one attribute test.
-        if not intra and self.injector is not None and self.injector.active:
-            return self._send_faulted(msg, now, src_node, dst_node)
-
         st = self._stats
         st.messages += 1
         st.bytes += msg.nbytes
@@ -284,34 +304,105 @@ class Cluster:
             ev.succeed(msg, delay=arrive - eng.now)
             return local_done
 
-        # --- inter-node: sender computes the wire arrival, receiver
-        # --- grants the ingress NIC in wire-arrival order at drain time
+        return self._transmit(msg, now, src_node, dst_node)
+
+    def _transmit(self, msg: Message, at: float, src_node: int, dst_node: int,
+                  attempt: int = 0, seq: Optional[int] = None,
+                  copy: bool = False) -> float:
+        """Put one transmission of ``msg`` on the wire at ``at``: the first
+        send, a NIC retransmission (``attempt`` > 0) or a duplicate ``copy``
+        of the message numbered ``seq`` on its channel. Enqueues the wire
+        record on the destination's pending heap and returns the egress
+        grant end, the sender's local completion.
+        """
+        fab = self.fabric
+        inj = self.injector
         bw_factor = fab.cost(f"{msg.protocol}.bw_factor", 1.0)
         ser = fab.serialization(msg.nbytes, intra=False) / bw_factor
+        if inj is not None:
+            ser *= inj.serialization_factor(src_node, dst_node, at)
         src = self.nodes[src_node]
-        grant = src.egress.use(ser, at=now)
+        grant = src.egress.use(ser, at=at)
         local_done = grant.end
+        chan = (msg.src_rank, msg.dst_rank)
+        in_order = True
+        if inj is not None:
+            fate = inj.fate(msg, src_node, dst_node, local_done, attempt, copy)
+            # a reordered message leaves its channel's order: no number
+            if seq is None and fate != "reorder":
+                ch = self._channels[chan]
+                seq = ch.sent
+                ch.sent = seq + 1
+            if fate == "drop":
+                self._dropped(msg, local_done, src_node, dst_node, attempt,
+                              seq, copy)
+                return local_done
+            in_order = fate != "reorder"
         latency = (
             fab.base_latency(intra=False)
             + fab.cost(f"{msg.protocol}.lat_extra", 0.0)
             + self._jitter(msg.protocol, src_node)
         )
+        if inj is not None:
+            latency *= inj.latency_factor(src_node, dst_node, local_done)
+            if not in_order:
+                latency += inj.reorder_extra()
         wire_arrive = grant.end + latency
-        # The wire keeps per-(src_rank, dst_rank) FIFO order even under
-        # jitter: a later injection never arrives first.
-        chan = (msg.src_rank, msg.dst_rank)
-        wfloor = self._wire_clock.get(chan, 0.0)
-        if wire_arrive < wfloor:
-            wire_arrive = wfloor
-        self._wire_clock[chan] = wire_arrive
+        if in_order:
+            # The wire keeps per-(src_rank, dst_rank) FIFO order even under
+            # jitter: a later injection never arrives first.
+            wfloor = self._wire_clock.get(chan, 0.0)
+            if wire_arrive < wfloor:
+                wire_arrive = wfloor
+            self._wire_clock[chan] = wire_arrive
         cnt = src.out_cnt
         src.out_cnt = cnt + 1
         node = self.nodes[dst_node]
         heappush(node.pending,
-                 (wire_arrive, src_node, cnt, ser, msg, local_done))
+                 (wire_arrive, src_node, cnt, ser, msg, local_done, seq))
         if wire_arrive < node.wake_time:
             self._arm_wake(node, wire_arrive)
+        if inj is not None and fate == "duplicate":
+            # a ghost copy follows on the wire; the receiving NIC drops it
+            self._transmit(msg, local_done, src_node, dst_node, attempt, seq,
+                           copy=True)
         return local_done
+
+    def _dropped(self, msg: Message, t: float, src_node: int, dst_node: int,
+                 attempt: int, seq: int, copy: bool) -> None:
+        """A transmission was lost on the wire at ``t``. The sending NIC
+        notices the missing ack after an RTO and retransmits with
+        exponential backoff; once it gives up, the message is lost and its
+        channel moves on. A lost duplicate copy needs no recovery."""
+        if copy:
+            return
+        inj = self.injector
+        plan = inj.plan
+        if plan.nic_ack and attempt < plan.max_retransmits:
+            eng = self.engine
+            ev = eng.event()
+            ev.add_callback(lambda _ev: self._retransmit(
+                msg, src_node, dst_node, attempt + 1, seq))
+            ev.succeed(delay=t + inj.backoff_delay(attempt) - eng.now)
+            return
+        inj.stats.lost += 1
+        inj.report.record(t, "net", "lost", rank=msg.src_rank,
+                          dst=msg.dst_rank, msg_kind=msg.kind, uid=msg.uid,
+                          attempts=attempt + 1)
+        node = self.nodes[dst_node]
+        for held, local_done, arrive in self._in_order(msg, seq, None):
+            if arrive > t:
+                t = arrive
+            node.transit_time += t - held.injected_at
+            self.engine.schedule_at(self._delivery(held, t, local_done), t)
+
+    def _retransmit(self, msg: Message, src_node: int, dst_node: int,
+                    attempt: int, seq: int) -> None:
+        inj = self.injector
+        inj.stats.retransmits += 1
+        now = self.engine.now
+        inj.trace(msg, "retransmit", now, attempt)
+        self._transmit(msg, now, src_node, dst_node, attempt, seq)
 
     # ------------------------------------------------------------------
     # receiver-ordered ingress
@@ -355,24 +446,22 @@ class Cluster:
         node.wake_time = _INF
         pending = node.pending
         ingress = node.ingress
-        clock = self._channel_clock
         tr = eng.tracer
         transit = node.transit_time
         times: List[float] = []
         events: List[Event] = []
         new = Event.__new__
         while pending and pending[0][0] <= now:
-            w, _src, _cnt, ser, msg, local_done = heappop(pending)
+            w, _src, _cnt, ser, msg, local_done, seq = heappop(pending)
             in_grant = ingress.use(ser, at=w)
             arrive = in_grant.end
-            # Per-channel delivery floor; a no-op after the sender-side
-            # wire clamp (same-channel grants come out non-decreasing),
-            # kept for the faulted path which shares the clock.
-            chan = (msg.src_rank, msg.dst_rank)
-            floor = clock.get(chan, 0.0)
-            if arrive < floor:
-                arrive = floor
-            clock[chan] = arrive
+            if seq is not None:
+                for m, ld, _ in self._in_order(msg, seq,
+                                               (msg, local_done, arrive)):
+                    transit += arrive - m.injected_at
+                    times.append(arrive)
+                    events.append(self._delivery(m, arrive, ld))
+                continue
             transit += arrive - msg.injected_at
             if tr.enabled:
                 tr.wire_span(msg, msg.injected_at, arrive, False,
@@ -398,6 +487,48 @@ class Cluster:
         if pending:
             self._arm_wake(node, pending[0][0])
 
+    def _in_order(self, msg: Message, seq: int,
+                  rec: Optional[Tuple[Message, float, float]]
+                  ) -> List[Tuple[Message, float, float]]:
+        """The receiving NIC's sequence check: number ``seq`` on ``msg``'s
+        channel was granted ingress as ``rec`` = ``(msg, local_done,
+        arrive)``, or was given up as lost (``rec`` is ``None``). Returns
+        the records now in channel order, to be delivered.
+
+        A message is held until every earlier number has been delivered or
+        given up. A number already delivered or held marks a duplicate
+        copy, which is dropped.
+        """
+        ch = self._channels[(msg.src_rank, msg.dst_rank)]
+        if seq < ch.next or seq in ch.held:
+            inj = self.injector
+            inj.stats.dup_suppressed += 1
+            inj.trace(msg, "dup_suppressed", self.engine.now, 0)
+            return []
+        ch.held[seq] = rec
+        released = []
+        n = ch.next
+        while n in ch.held:
+            r = ch.held.pop(n)
+            if r is not None:
+                released.append(r)
+            n += 1
+        ch.next = n
+        return released
+
+    def _delivery(self, msg: Message, t: float, local_done: float) -> Event:
+        """Trace the delivery of ``msg`` at ``t``; returns its unscheduled
+        delivery event."""
+        tr = self.engine.tracer
+        if tr.enabled:
+            tr.wire_span(msg, msg.injected_at, t, False, local_done)
+        ev = Event(self.engine)
+        ev.callbacks.append(self._deliver_event)
+        ev._ok = True
+        ev._value = msg
+        ev._scheduled = True
+        return ev
+
     def send_batch(self, msgs: List[Message],
                    delays: List[float]) -> List[float]:
         """``[self.send(m, d) for m, d in zip(msgs, delays)]``: one
@@ -406,8 +537,8 @@ class Cluster:
         return [self.send(m, d) for m, d in zip(msgs, delays)]
 
     def _deliver_event(self, ev) -> None:
-        """Delivery callback of every unfaulted send: the message rides in
-        the event's value slot instead of a per-message closure."""
+        """Delivery callback of every send: the message rides in the
+        event's value slot instead of a per-message closure."""
         self._deliver(ev._value)
 
     def _deliver(self, msg: Message) -> None:
@@ -423,148 +554,6 @@ class Cluster:
                 f"no {msg.protocol!r} endpoint at rank {msg.dst_rank} for {msg!r}"
             )
         handler(msg)
-
-    # ------------------------------------------------------------------
-    # fault-aware transport (repro.faults)
-    # ------------------------------------------------------------------
-    def _send_faulted(self, msg: Message, now: float, src_node: int,
-                      dst_node: int) -> float:
-        """Wire send under an active fault injector.
-
-        The local-completion contract is unchanged: the source buffer has
-        left the host once the *first* egress serialization finishes — the
-        NIC keeps its own copy for ack-based retransmission, so drops never
-        stall the sender, only the delivery.
-        """
-        st = self._stats
-        st.messages += 1
-        st.bytes += msg.nbytes
-        if msg.nbytes <= 64:
-            st.control_messages += 1
-        return self._transmit_faulted(msg, now, src_node, dst_node,
-                                      attempt=0, is_copy=False)
-
-    def _transmit_faulted(self, msg: Message, at: float, src_node: int,
-                          dst_node: int, attempt: int, is_copy: bool) -> float:
-        """One wire transmission attempt; returns the egress grant end."""
-        eng = self.engine
-        fab = self.fabric
-        inj = self.injector
-        bw_factor = fab.cost(f"{msg.protocol}.bw_factor", 1.0)
-        ser = fab.serialization(msg.nbytes, intra=False) / bw_factor
-        ser *= inj.serialization_factor(src_node, dst_node, at)
-        grant = self.nodes[src_node].egress.use(ser, at=at)
-        t_wire = grant.end
-
-        # fate decided the instant the message hits the wire
-        if inj.partitioned(src_node, dst_node, t_wire):
-            inj.stats.partition_dropped += 1
-            fate = "drop"
-            self._trace_fault(msg, "partition_drop", t_wire, attempt)
-        else:
-            fate = inj.wire_fate(msg, attempt, is_copy)
-            if fate != "ok":
-                self._trace_fault(msg, fate, t_wire, attempt)
-
-        if fate == "drop":
-            plan = inj.plan
-            if plan.nic_ack and attempt < plan.max_retransmits:
-                # the sender NIC notices the missing ack after an RTO and
-                # retransmits with exponential backoff
-                retry_at = t_wire + inj.backoff_delay(attempt)
-                ev = eng.event()
-                ev.add_callback(
-                    lambda _ev: self._retransmit(msg, src_node, dst_node,
-                                                 attempt + 1)
-                )
-                ev.succeed(delay=retry_at - eng.now)
-            else:
-                inj.stats.lost += 1
-                inj.report.record(t_wire, "net", "lost", rank=msg.src_rank,
-                                  dst=msg.dst_rank, msg_kind=msg.kind,
-                                  uid=msg.uid, attempts=attempt + 1)
-            return grant.end
-
-        latency = (
-            fab.base_latency(intra=False)
-            + fab.cost(f"{msg.protocol}.lat_extra", 0.0)
-            + self._jitter(msg.protocol, src_node)
-        )
-        latency *= inj.latency_factor(src_node, dst_node, t_wire)
-        reordered = fate == "reorder"
-        if reordered:
-            latency += inj.reorder_extra()
-        wire_arrive = grant.end + latency
-        if reordered:
-            # A reordered packet strays off the in-order pipeline; reserving
-            # the ingress device at its (far-future) arrival would backlog
-            # earlier traffic behind the reservation, so it pays the
-            # serialization cost without occupying the device.
-            arrive = wire_arrive + ser
-        else:
-            in_grant = self.nodes[dst_node].ingress.use(ser, at=wire_arrive)
-            arrive = in_grant.end
-
-        # Reordered messages escape the per-channel FIFO floor (that is the
-        # fault) and do not raise it, so later traffic may overtake them.
-        # Retransmitted messages keep FIFO semantics: one loss delays the
-        # whole channel, as on an in-order virtual circuit.
-        chan = (msg.src_rank, msg.dst_rank)
-        floor = self._channel_clock.get(chan, 0.0)
-        if not reordered:
-            if arrive < floor:
-                arrive = floor
-            self._channel_clock[chan] = arrive
-
-        tr = eng.tracer
-        if tr.enabled:
-            tr.span("net", f"{msg.protocol}.{msg.kind}", at, arrive,
-                    rank=msg.src_rank, dst=msg.dst_rank, nbytes=msg.nbytes,
-                    intra=False, local_done=grant.end, attempt=attempt)
-
-        ev = eng.event()
-        ev.add_callback(lambda _ev: self._deliver_faulted(msg))
-        ev.succeed(delay=arrive - eng.now)
-
-        if fate == "duplicate":
-            # a ghost copy follows on the wire; the receiver NIC dedups it
-            self._dup_tracked.add(msg.uid)
-            self._transmit_faulted(msg, grant.end, src_node, dst_node,
-                                   attempt, is_copy=True)
-        return grant.end
-
-    def _retransmit(self, msg: Message, src_node: int, dst_node: int,
-                    attempt: int) -> None:
-        inj = self.injector
-        inj.stats.retransmits += 1
-        self._trace_fault(msg, "retransmit", self.engine.now, attempt)
-        self._transmit_faulted(msg, self.engine.now, src_node, dst_node,
-                               attempt, is_copy=False)
-
-    def _deliver_faulted(self, msg: Message) -> None:
-        uid = msg.uid
-        if uid in self._dup_tracked:
-            if uid in self._dup_seen:
-                # second copy of a duplicated message: suppressed at the
-                # receiving NIC, so upper layers never see it (and, e.g.,
-                # notifications are not double-posted)
-                self._dup_tracked.discard(uid)
-                self._dup_seen.discard(uid)
-                self.injector.stats.dup_suppressed += 1
-                self._trace_fault(msg, "dup_suppressed", self.engine.now, 0)
-                return
-            self._dup_seen.add(uid)
-        dst_node = self.node_of(msg.dst_rank)
-        self.nodes[dst_node].transit_time += self.engine.now - msg.injected_at
-        self._deliver(msg)
-
-    def _trace_fault(self, msg: Message, what: str, t: float, attempt: int) -> None:
-        tr = self.engine.tracer
-        if tr.enabled:
-            # note: no msg.uid here — uids are process-global, and traces
-            # must stay byte-identical across same-seed runs
-            tr.instant("faults", what, t, rank=msg.src_rank, dst=msg.dst_rank,
-                       kind=msg.kind, attempt=attempt)
 
     def _jitter(self, protocol: str, src_node: int) -> float:
         rngs = self._jitter_rngs

@@ -18,7 +18,7 @@ Design goals (see DESIGN.md §1):
   inside the MPI locking system" analysis (§VI-C).
 """
 
-from repro.sim.engine import Engine, Interrupt, SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, Timeout, AllOf
 from repro.sim.process import Process
 from repro.sim.rng import SeedSequence, derive_rng
@@ -26,7 +26,6 @@ from repro.sim.rng import SeedSequence, derive_rng
 __all__ = [
     "Engine",
     "SimulationError",
-    "Interrupt",
     "Event",
     "Timeout",
     "AllOf",

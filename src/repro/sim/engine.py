@@ -55,14 +55,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (not for model errors)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 #: Priority used by ordinary events.
 PRIORITY_NORMAL = 0
 #: Priority for bookkeeping that must run before normal events at an instant.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.sim.engine import Engine, Interrupt, SimulationError, PRIORITY_URGENT
+from repro.sim.engine import Engine, SimulationError, PRIORITY_URGENT
 from repro.sim.events import Event
 
 
@@ -32,7 +32,7 @@ class Process(Event):
         Optional label for traces and error messages.
     """
 
-    __slots__ = ("generator", "name", "_target", "_resume_cb", "context")
+    __slots__ = ("generator", "name", "_resume_cb", "context")
 
     def __init__(self, engine: Engine, generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "send"):
@@ -43,7 +43,6 @@ class Process(Event):
         super().__init__(engine)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         self._resume_cb = self._resume
         #: CPU-charge sink installed as ``engine.current_context`` while this
         #: process executes a synchronous step (see :mod:`repro.sim.context`).
@@ -53,30 +52,8 @@ class Process(Event):
         start.add_callback(self._resume_cb)
         start.succeed(priority=PRIORITY_URGENT)
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a process that already terminated is an error;
-        interrupting one that is waiting detaches it from its current target
-        event (the target may still fire for other waiters).
-        """
-        if self.triggered or self._scheduled:
-            raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        interrupt_ev = Event(self.engine)
-        interrupt_ev._ok = False
-        interrupt_ev._value = Interrupt(cause)
-        interrupt_ev._defused = True
-        interrupt_ev._scheduled = True
-        # Detach from whatever we were waiting on.
-        target, self._target = self._target, None
-        if target is not None and self._resume_cb in target.callbacks:
-            target.callbacks.remove(self._resume_cb)
-        self.engine.schedule(interrupt_ev, 0.0, PRIORITY_URGENT)
-        interrupt_ev.add_callback(self._resume_cb)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._target = None
         engine = self.engine
         prev_ctx = engine.current_context
         engine.current_context = self.context
@@ -108,7 +85,6 @@ class Process(Event):
             self.generator.close()
             self.fail(SimulationError(f"process {self.name!r} waited on itself"))
             return
-        self._target = target
         if target._triggered:  # inlined Event.add_callback
             self._resume(target)
         else:

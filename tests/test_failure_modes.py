@@ -10,7 +10,6 @@ from repro.harness import JobSpec, MARENOSTRUM4, build_job
 from repro.mpi import MPIContext, MPIProcDriver, MPIError
 from repro.network import Cluster, Message, OMNIPATH
 from repro.sim import Engine, SimulationError
-from repro.sim.engine import Interrupt
 from repro.tasking import Runtime, RuntimeConfig, Out
 from tests.conftest import run_all
 
@@ -132,20 +131,6 @@ class TestSubstrateMisuse:
         g.rank(0).write(0, 0, 1, 0, 0, 8, queue=0)
         with pytest.raises(GaspiError, match="outside"):
             eng.run()
-
-    def test_interrupting_finished_process_rejected(self):
-        eng = Engine()
-
-        def quick():
-            yield eng.timeout(1.0)
-
-        p = eng.process(quick())
-        eng.run()
-        with pytest.raises(SimulationError, match="terminated"):
-            p.interrupt()
-
-    def test_interrupt_cause_carried(self):
-        assert Interrupt("why").cause == "why"
 
 
 class TestRuntimeMisuse:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Interrupt, SimulationError
+from repro.sim import Engine, SimulationError
 from repro.sim.engine import PRIORITY_URGENT
 from repro.sim.events import Event, Timeout, AllOf
 from repro.sim.serial import SerialDevice
@@ -208,26 +208,6 @@ class TestProcesses:
         eng = Engine()
         with pytest.raises(SimulationError, match="generator"):
             eng.process(lambda: None)  # type: ignore[arg-type]
-
-    def test_interrupt(self):
-        eng = Engine()
-        log = []
-
-        def sleeper():
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt as i:
-                log.append(("interrupted", i.cause, eng.now))
-
-        p = eng.process(sleeper())
-
-        def killer():
-            yield eng.timeout(5.0)
-            p.interrupt("enough")
-
-        eng.process(killer())
-        eng.run()
-        assert log == [("interrupted", "enough", 5.0)]
 
     def test_deadlock_detected(self):
         eng = Engine()
