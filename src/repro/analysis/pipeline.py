@@ -132,7 +132,7 @@ class AnalysisPipeline(Tracer):
         self._mpi_prune_at = _MIN_PRUNE
         #: live non-independent tasks: (runtime name, task uid) -> task
         self.live_tasks: Dict[Tuple[str, int], object] = {}
-        #: in-flight (sent, undelivered) messages: uid -> summary tuple
+        #: in-flight (sent, undelivered) messages: edge id -> summary tuple
         self.inflight_msgs: Dict[int, Tuple] = {}
         #: active blocking waits, in registration order: key -> WaitRecord
         self._waits: Dict[object, WaitRecord] = {}
@@ -181,9 +181,9 @@ class AnalysisPipeline(Tracer):
     # ------------------------------------------------------------------
     # the emits the checkers read
     # ------------------------------------------------------------------
-    def gaspi_submit(self, rank, operation, t0, grant, queue, count, depth,
-                     local_seg=None, local_off=0, dest=None, remote_seg=None,
-                     remote_off=0, notif_id=None) -> None:
+    def gaspi_submit(self, rank, operation, t0, t1, wait, queue, count,
+                     depth, local_seg=None, local_off=0, dest=None,
+                     remote_seg=None, remote_off=0, notif_id=None) -> None:
         rd = self.race_detector
         if rd is not None:
             rd.on_submit(rank, operation, queue, local_seg, local_off, dest,
@@ -206,11 +206,11 @@ class AnalysisPipeline(Tracer):
         self.live_tasks.pop((runtime.name, task.uid), None)
 
     def msg_send(self, msg, eid, t) -> None:
-        self.inflight_msgs[msg.uid] = (
+        self.inflight_msgs[eid] = (
             msg.src_rank, msg.dst_rank, msg.protocol, msg.kind, msg.nbytes)
 
     def msg_deliver(self, msg, eid, t) -> None:
-        self.inflight_msgs.pop(msg.uid, None)
+        self.inflight_msgs.pop(eid, None)
 
     # blocking-wait registry (deadlock diagnosis)
     def wait_enter(self, key, rank, site: str, **info) -> None:

@@ -109,7 +109,7 @@ def _messages(pl) -> None:
     if not pl.inflight_msgs:
         return
     by_src: Dict[object, int] = {}
-    for _uid, (src, _dst, _proto, _kind, _nbytes) in sorted(
+    for _eid, (src, _dst, _proto, _kind, _nbytes) in sorted(
             pl.inflight_msgs.items()):
         by_src[src] = by_src.get(src, 0) + 1
     for src in sorted(by_src, key=str):

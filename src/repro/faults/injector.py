@@ -142,8 +142,9 @@ class FaultInjector:
         # stall. Scheduling at t0 (not at install time) keeps pre-window
         # sends byte-identical to an unstalled run.
         node = cluster.nodes[stall.node]
-        node.egress.use(stall.duration)
-        node.ingress.use(stall.duration)
+        now = self.engine.now
+        node.egress.use(stall.duration, now)
+        node.ingress.use(stall.duration, now)
         self.stats.stalls += 1
         self.report.record(self.engine.now, "net", "stall", rank=None,
                            node=stall.node, duration=stall.duration)
@@ -174,8 +175,6 @@ class FaultInjector:
         """Record the wire event ``what`` of ``msg`` as a ``faults`` instant."""
         tr = self.engine.tracer
         if tr.enabled:
-            # note: no msg.uid here — uids are process-global, and traces
-            # must stay byte-identical across same-seed runs
             tr.instant("faults", what, t, rank=msg.src_rank, dst=msg.dst_rank,
                        kind=msg.kind, attempt=attempt)
 
@@ -225,7 +224,7 @@ class FaultInjector:
                 self.stats.reordered += 1
             self.report.record(self.engine.now, "net", "scripted",
                                rank=msg.src_rank, action=f.action,
-                               dst=msg.dst_rank, msg_kind=msg.kind, uid=msg.uid)
+                               dst=msg.dst_rank, msg_kind=msg.kind)
             return f.action
         return None
 

@@ -72,7 +72,7 @@ class GaspiRank:
         self.rank = rank
         self.segments: Dict[int, Segment] = {}
         self.queues: List[GaspiQueue] = [
-            GaspiQueue(self.engine, rank, q) for q in range(context.n_queues)
+            GaspiQueue(q) for q in range(context.n_queues)
         ]
         self._read_waiters: Dict[int, Tuple[LowLevelRequest, int, int, int]] = {}
         self._read_op_seq = 0
@@ -160,9 +160,14 @@ class GaspiRank:
         """
         q = self._queue(queue, op=operation)
         now = self.engine.now
-        grant = q.device.use(self._c_op)
-        charge_current(self.engine, grant.wait + self._c_op)
-        depart = grant.end - now
+        hold = self._c_op
+        start = q.device.use(hold, now)
+        wait = start - now
+        q.wait_time += wait
+        q.hold_time += hold
+        charge_current(self.engine, wait + hold)
+        end = start + hold
+        depart = end - now
         nreq = low_level_requests(operation)
         reqs: List[LowLevelRequest] = []
 
@@ -227,9 +232,9 @@ class GaspiRank:
 
         tr = self.engine.tracer
         if tr.enabled:
-            # submit span: API entry -> queue-device grant (lock contention
-            # on the queue shows up as the span stretching past _c_op)
-            tr.gaspi_submit(self.rank, operation, now, grant, queue, count,
+            # submit span: API entry -> queue-device release (lock
+            # contention on the queue stretches the span past _c_op)
+            tr.gaspi_submit(self.rank, operation, now, end, wait, queue, count,
                             q.depth, local_seg, local_off, dest, remote_seg,
                             remote_off, notif_id)
         return reqs

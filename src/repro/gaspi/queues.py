@@ -5,7 +5,7 @@ a per-queue :class:`~repro.sim.serial.SerialDevice` (hold time =
 ``gaspi.op``), so concurrent tasks posting to *different* queues do not
 contend at all — the multiplexing strategy the paper's sender tasks use —
 and even same-queue contention is an order of magnitude cheaper than the
-MPI global lock.
+MPI global lock. The queue sums its submissions' wait and hold time.
 
 A :class:`LowLevelRequest` records one ibverbs-like work request: its user
 tag and the absolute sim time of its local completion (when the source
@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.sim.engine import Engine
 from repro.sim.serial import SerialDevice
 
 #: process-wide monotonic request serials: a stable identity for targeted
@@ -50,13 +49,16 @@ class LowLevelRequest:
 class GaspiQueue:
     """One communication queue of one rank."""
 
-    __slots__ = ("engine", "queue_id", "device", "inflight", "submitted",
-                 "harvested", "purged")
+    __slots__ = ("queue_id", "device", "wait_time", "hold_time", "inflight",
+                 "submitted", "harvested", "purged")
 
-    def __init__(self, engine: Engine, rank: int, queue_id: int):
-        self.engine = engine
+    def __init__(self, queue_id: int):
         self.queue_id = queue_id
-        self.device = SerialDevice(engine, f"gaspi.q{queue_id}.rank{rank}")
+        self.device = SerialDevice()
+        #: submission seconds spent queued behind other submissions, and
+        #: holding the queue
+        self.wait_time = 0.0
+        self.hold_time = 0.0
         #: locally incomplete (or complete but unharvested) requests, FIFO
         self.inflight: List[LowLevelRequest] = []
         self.submitted = 0

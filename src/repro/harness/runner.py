@@ -295,9 +295,8 @@ class Job:
             for q in rk.queues:
                 submitted += q.submitted
                 harvested += q.harvested
-                st = q.device.stats
-                submit_time += st.total_wait_time + st.total_hold_time
-                queue_wait += st.total_wait_time
+                submit_time += q.wait_time + q.hold_time
+                queue_wait += q.wait_time
             for seg in rk.segments.values():
                 notifications += seg.arrival_counter
         return {

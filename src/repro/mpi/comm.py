@@ -9,15 +9,15 @@ are plain synchronous functions that
 2. timestamp their hardware effects at the lock grant, so injection times
    are accurate even under lock contention.
 
-*Blocking* operations (``wait``, ``waitall``, ``barrier``, ``allreduce``,
-…) are generators to be driven with ``yield from`` inside a simulated
+*Blocking* operations (``wait``, ``waitall``, ``barrier``, ``bcast``) are
+generators to be driven with ``yield from`` inside a simulated
 process; they suspend the caller until completion — the shape of the
 optimized MPI-only baselines in the paper's evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,8 +121,7 @@ class MPIRank:
         tr = self.engine.tracer
         if tr.enabled:
             tr.mpi_request(req)
-        grant = self.lock.enter(self._c_call, "isend")
-        depart = grant.end - self.engine.now
+        depart = self.lock.enter(self._c_call, "isend") + self._c_call - self.engine.now
         if nbytes <= self._eager_max:
             self.stats_eager += 1
             payload = payload_copy(buf)
@@ -185,13 +184,13 @@ class MPIRank:
             reqs.append(req)
         now = self.engine.now
         unit = self._c_call
-        grant = self.lock.enter(n * unit, "isend_batch")
+        start = self.lock.enter(n * unit, "isend_batch")
         departs: List[float] = []
         msgs: List[Message] = []
         for j, (buf, tag, nbytes) in enumerate(zip(bufs, tags, sizes)):
             self.stats_eager += 1
             # message j leaves the library when its slice of the hold ends
-            departs.append((grant.start + (j + 1) * unit) - now)
+            departs.append((start + (j + 1) * unit) - now)
             payload = payload_copy(buf)
             msgs.append(Message(
                 self.rank, dest, "mpi", "eager", nbytes + CONTROL_BYTES,
@@ -233,12 +232,12 @@ class MPIRank:
             tr.instant("faults", "rts_retry", self.engine.now, rank=self.rank,
                        dst=dest, tag=tag, attempt=attempt + 1)
         # the progress engine briefly takes the lock, like the CTS path
-        grant = self.lock.enter(self._c_handshake, "rts_retry")
+        start = self.lock.enter(self._c_handshake, "rts_retry")
         rts = Message(
             self.rank, dest, "mpi", "rts", CONTROL_BYTES, None,
             meta={"tag": tag, "send_uid": req.uid, "nbytes": nbytes},
         )
-        self.cluster.send(rts, depart_delay=grant.end - self.engine.now)
+        self.cluster.send(rts, depart_delay=start + self._c_handshake - self.engine.now)
         self._arm_rts_retry(req, dest, tag, nbytes, attempt + 1)
 
     def irecv(self, buf: Optional[np.ndarray], source: int, tag: int) -> Request:
@@ -253,10 +252,10 @@ class MPIRank:
         tr = self.engine.tracer
         if tr.enabled:
             tr.mpi_request(req)
-        grant = self.lock.enter(self._c_call, "irecv")
+        start = self.lock.enter(self._c_call, "irecv")
         msg = self.matching.post_recv(req)
         if msg is not None:
-            self._satisfy_recv(req, msg, at=grant.end)
+            self._satisfy_recv(req, msg, at=start + self._c_call)
         return req
 
     def _satisfy_recv(self, req: Request, msg: Message, at: float) -> None:
@@ -302,20 +301,17 @@ class MPIRank:
         self.lock.enter(self._c_ts_base + self._c_ts_per, "test")
         return req.done
 
-    def testsome(self, reqs: Sequence[Request]) -> List[int]:
-        """MPI_Testsome: indices of completed requests; lock hold grows with
-        the number of requests inspected (the TAMPI poller's cost)."""
-        self.lock.enter(self._c_ts_base + self._c_ts_per * len(reqs), "testsome")
-        return [i for i, r in enumerate(reqs) if r.done]
-
-    def testsome_timed(self, reqs: Sequence[Request]):
-        """Like :meth:`testsome` but also returns the lock grant, so the
-        caller (TAMPI's poller) can timestamp downstream effects at the
-        moment the lock was actually acquired — under contention, the
-        completion *detection* is delayed by the lock wait, which is the
-        critical-path effect of §VI-C."""
-        grant = self.lock.enter(self._c_ts_base + self._c_ts_per * len(reqs), "testsome")
-        return grant, [i for i, r in enumerate(reqs) if r.done]
+    def testsome(self, reqs: Sequence[Request]) -> Tuple[float, float, List[int]]:
+        """MPI_Testsome; lock hold grows with the number of requests
+        inspected (the TAMPI poller's cost). Returns the call's end, its
+        lock wait and the indices of completed requests, so the caller can
+        timestamp downstream effects at the call's end — under contention,
+        the completion *detection* is delayed by the lock wait, which is
+        the critical-path effect of §VI-C."""
+        hold = self._c_ts_base + self._c_ts_per * len(reqs)
+        now = self.engine.now
+        start = self.lock.enter(hold, "testsome")
+        return start + hold, start - now, [i for i, r in enumerate(reqs) if r.done]
 
     # ------------------------------------------------------------------
     # blocking operations (generator-shaped)
@@ -403,28 +399,6 @@ class MPIRank:
             k *= 2
             round_ += 1
 
-    def gather(self, value: np.ndarray, root: int) -> Generator:
-        """Gather equal-size arrays to ``root``; yields the list at root,
-        ``None`` elsewhere."""
-        n = self.context.n_ranks
-        tag = self._coll_tag(0)
-        self._coll_seq += 1
-        if self.rank == root:
-            out: List[Optional[np.ndarray]] = [None] * n
-            out[root] = np.array(value, copy=True)
-            reqs = []
-            for r in range(n):
-                if r == root:
-                    continue
-                buf = np.empty_like(value)
-                out[r] = buf
-                reqs.append(self.irecv(buf, r, tag))
-            yield from self.waitall(reqs)
-            return out
-        req = self.isend(value, root, tag)
-        yield from self.wait(req)
-        return None
-
     def bcast(self, value: np.ndarray, root: int) -> Generator:
         """Binomial-tree broadcast of an array; yields the array everywhere.
 
@@ -456,20 +430,6 @@ class MPIRank:
         if reqs:
             yield from self.waitall(reqs)
         return value
-
-    def allreduce(self, value: np.ndarray, op=np.add) -> Generator:
-        """Allreduce as gather-to-0 + reduce + broadcast; yields the result."""
-        arr = np.asarray(value)
-        gathered = yield from self.gather(arr, root=0)
-        if self.rank == 0:
-            acc = gathered[0]
-            for part in gathered[1:]:
-                acc = op(acc, part)
-            result = np.array(acc, copy=True)
-        else:
-            result = np.empty_like(arr)
-        result = yield from self.bcast(result, root=0)
-        return result
 
     # ------------------------------------------------------------------
     # network endpoint
@@ -512,7 +472,7 @@ class MPIRank:
             # the library's progress engine injects the data transfer;
             # it briefly takes the lock (interfering with user calls) but
             # charges no user task.
-            grant = self.lock.enter(self._c_handshake, "rendezvous_cts")
+            start = self.lock.enter(self._c_handshake, "rendezvous_cts")
             data = Message(
                 self.rank,
                 msg.src_rank,
@@ -522,7 +482,8 @@ class MPIRank:
                 payload_copy(send_req.buf),
                 meta={"recv_uid": msg.meta["recv_uid"]},
             )
-            local_done = self.cluster.send(data, depart_delay=grant.end - self.engine.now)
+            local_done = self.cluster.send(
+                data, depart_delay=start + self._c_handshake - self.engine.now)
             send_req.complete_at(local_done)
         elif msg.kind == "data":
             recv_req = self._pending_recvs.pop(msg.meta["recv_uid"], None)
@@ -652,7 +613,3 @@ class MPIProcDriver:
     def barrier(self) -> Generator:
         yield from self.sync()
         yield from self.mpi.barrier()
-
-    def allreduce(self, value, op=np.add) -> Generator:
-        yield from self.sync()
-        return (yield from self.mpi.allreduce(value, op))

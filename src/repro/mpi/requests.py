@@ -52,7 +52,6 @@ class Request:
         "event",
         "completed_at",
         "sent_at",
-        "_payload",
         "_seq",
     )
 
@@ -83,8 +82,6 @@ class Request:
         #: recv requests: sim time the matching message was injected at the
         #: sender (wire-visible causality for late-sender analysis)
         self.sent_at: Optional[float] = None
-        #: eager sends stash their buffered copy here until matched
-        self._payload: Optional[np.ndarray] = None
 
     @property
     def done(self) -> bool:

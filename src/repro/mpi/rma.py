@@ -119,14 +119,15 @@ class Window:
                 f"put overflows window at rank {target}: "
                 f"offset {offset} + {local.size} > {tgt_buf.size}"
             )
-        grant = rank.lock.enter(self.context.fabric.cost("mpi.rma_put", 0.5e-6), "rma_put")
+        hold = self.context.fabric.cost("mpi.rma_put", 0.5e-6)
+        start = rank.lock.enter(hold, "rma_put")
         self._outstanding[origin][target] = self._outstanding[origin].get(target, 0) + 1
         msg = Message(
             origin, target, f"rma{self.win_id}", "put", local.nbytes + CONTROL_BYTES,
             np.array(local, copy=True),
             meta={"offset": offset, "origin": origin},
         )
-        self.context.cluster.send(msg, depart_delay=grant.end - self.engine.now)
+        self.context.cluster.send(msg, depart_delay=start + hold - self.engine.now)
 
     def iget(self, origin: int, local: np.ndarray, target: int, offset: int = 0):
         """Issue a Get and return its completion
@@ -141,7 +142,8 @@ class Window:
             raise MPIError(f"rank {target} exposes no memory in window {self.win_id}")
         if offset + local.size > tgt_buf.size:
             raise MPIError("get overflows window")
-        grant = rank.lock.enter(self.context.fabric.cost("mpi.rma_put", 0.5e-6), "rma_get")
+        hold = self.context.fabric.cost("mpi.rma_put", 0.5e-6)
+        start = rank.lock.enter(hold, "rma_get")
         op_id = next(_rma_op_ids)
         done = self.engine.event()
         self._get_waiters[op_id] = (done, local)
@@ -150,7 +152,7 @@ class Window:
             origin, target, f"rma{self.win_id}", "get_req", CONTROL_BYTES, None,
             meta={"offset": offset, "count": int(local.size), "op_id": op_id, "origin": origin},
         )
-        self.context.cluster.send(msg, depart_delay=grant.end - self.engine.now)
+        self.context.cluster.send(msg, depart_delay=start + hold - self.engine.now)
         return done
 
     def get(self, origin: int, local: np.ndarray, target: int, offset: int = 0) -> Generator:

@@ -8,19 +8,20 @@ more total time inside MPI than at 8192, almost all of it lock wait.
 
 We model that lock as one :class:`~repro.sim.serial.SerialDevice` per MPI
 process. Every API entry requests the device for a fabric-dependent hold
-time; the grant's wait+hold is charged to the calling task's CPU and the
+time; the wait+hold is charged to the calling task's CPU and the
 operation's hardware effects are timestamped at the grant, so both the
 caller's slowdown and the delayed injection are reproduced.
 
 ``GlobalLock.time_in_mpi`` aggregates wait+hold per process — the quantity
-the paper reports from VTune.
+the paper reports from VTune — ``wait_in_mpi`` the wait alone, and
+``calls`` the number of library entries.
 """
 
 from __future__ import annotations
 
 from repro.sim.engine import Engine
 from repro.sim.context import charge_current
-from repro.sim.serial import SerialDevice, ServiceGrant
+from repro.sim.serial import SerialDevice
 
 
 class GlobalLock:
@@ -31,7 +32,7 @@ class GlobalLock:
     def __init__(self, engine: Engine, rank: int):
         self.engine = engine
         self.rank = rank
-        self.device = SerialDevice(engine, f"mpi.lock.rank{rank}")
+        self.device = SerialDevice()
         #: total wait+hold seconds across all MPI calls of this process
         self.time_in_mpi = 0.0
         #: the wait component alone (the paper attributes the blowup to it)
@@ -39,21 +40,23 @@ class GlobalLock:
         self.calls = 0
 
     def enter(self, hold: float, op: str = "call",
-              at: float | None = None) -> ServiceGrant:
+              at: float | None = None) -> float:
         """Serialize one MPI call of duration ``hold``; charge the caller.
+        Returns when the lock was acquired; the call ends ``hold`` later.
 
         ``op`` names the API entry for the trace timeline (isend, testsome,
         …); the span covers wait + hold — per-call time inside MPI. ``at``
         is the caller's clock when it runs ahead of the engine's.
         """
-        grant = self.device.use(hold, at)
-        cost = grant.wait + hold
+        now = self.engine.now if at is None else at
+        start = self.device.use(hold, now)
+        wait = start - now
+        cost = wait + hold
         self.time_in_mpi += cost
-        self.wait_in_mpi += grant.wait
+        self.wait_in_mpi += wait
         self.calls += 1
         charge_current(self.engine, cost)
         tr = self.engine.tracer
         if tr.enabled:
-            now = self.engine.now if at is None else at
-            tr.mpi_call(self.rank, op, now, grant)
-        return grant
+            tr.mpi_call(self.rank, op, now, start + hold, wait)
+        return start

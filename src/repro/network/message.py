@@ -18,13 +18,10 @@ their Python representation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
-
-_msg_ids = itertools.count()
 
 
 class Extent:
@@ -114,14 +111,14 @@ class Message:
     payload: Any = None
     #: substrate-specific routing metadata (tags, segment ids, queue ids…)
     meta: dict = field(default_factory=dict)
-    #: unique id, handy in traces
-    uid: int = field(default_factory=lambda: next(_msg_ids))
+    #: the cluster's send->deliver edge id, set when a tracer saw the send
+    eid: Optional[int] = None
     #: stamped by the cluster at injection/delivery
     injected_at: float = 0.0
     delivered_at: float = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Message #{self.uid} {self.protocol}.{self.kind} "
+            f"<Message {self.protocol}.{self.kind} "
             f"{self.src_rank}->{self.dst_rank} {self.nbytes}B>"
         )

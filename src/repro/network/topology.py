@@ -6,7 +6,7 @@ node has one NIC modelled as two FIFO :class:`~repro.sim.serial.SerialDevice`
 channels (egress, ingress). A remote message experiences::
 
     depart      = egress grant (serialization at src NIC)
-    wire_arrive = depart.end + latency (+ jitter), clamped FIFO per
+    wire_arrive = depart end + latency (+ jitter), clamped FIFO per
                   (src_rank, dst_rank) channel
     deliver     = ingress grant at dst NIC, granted in wire-arrival order
 
@@ -98,10 +98,10 @@ class Node:
     __slots__ = ("node_id", "egress", "ingress", "pending", "wake_ev",
                  "wake_time", "out_cnt", "transit_time")
 
-    def __init__(self, engine: Engine, node_id: int):
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.egress = SerialDevice(engine, f"node{node_id}.egress")
-        self.ingress = SerialDevice(engine, f"node{node_id}.ingress")
+        self.egress = SerialDevice()
+        self.ingress = SerialDevice()
         self.pending: List[WireRecord] = []
         self.wake_ev: Optional[Event] = None
         self.wake_time: float = _INF
@@ -156,7 +156,7 @@ class Cluster:
         # from the seed stream: a node's draws then depend only on its own
         # send order, never on how other nodes' sends interleave with it.
         self._jitter_rngs = None if rng is None else rng.spawn(n_nodes)
-        self.nodes: List[Node] = [Node(engine, i) for i in range(n_nodes)]
+        self.nodes: List[Node] = [Node(i) for i in range(n_nodes)]
         self._stats = NetworkStats()
         self._rank_node: Dict[int, int] = {}
         self._endpoints: Dict[Tuple[int, str], DeliveryHandler] = {}
@@ -171,11 +171,9 @@ class Cluster:
         self.injector = None
         # packet sequencing per (src_rank, dst_rank), only under an injector
         self._channels = defaultdict(_Channel)
-        # cluster-local edge ids for traced send->deliver causality; msg.uid
-        # is process-global (never exported), so the tracer gets its own
-        # deterministic counter plus a transient uid->eid map
+        # cluster-local edge ids for traced send->deliver causality, stored
+        # on the message at a traced send
         self._next_edge_id = 0
-        self._edge_ids: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # stats
@@ -266,7 +264,7 @@ class Cluster:
         if tr0.enabled:
             eid = self._next_edge_id
             self._next_edge_id = eid + 1
-            self._edge_ids[msg.uid] = eid
+            msg.eid = eid
             tr0.msg_send(msg, eid, now)
         src_node = self.node_of(msg.src_rank)
         dst_node = self.node_of(msg.dst_rank)
@@ -322,8 +320,7 @@ class Cluster:
         if inj is not None:
             ser *= inj.serialization_factor(src_node, dst_node, at)
         src = self.nodes[src_node]
-        grant = src.egress.use(ser, at=at)
-        local_done = grant.end
+        local_done = src.egress.use(ser, at) + ser
         chan = (msg.src_rank, msg.dst_rank)
         in_order = True
         if inj is not None:
@@ -347,7 +344,7 @@ class Cluster:
             latency *= inj.latency_factor(src_node, dst_node, local_done)
             if not in_order:
                 latency += inj.reorder_extra()
-        wire_arrive = grant.end + latency
+        wire_arrive = local_done + latency
         if in_order:
             # The wire keeps per-(src_rank, dst_rank) FIFO order even under
             # jitter: a later injection never arrives first.
@@ -387,7 +384,7 @@ class Cluster:
             return
         inj.stats.lost += 1
         inj.report.record(t, "net", "lost", rank=msg.src_rank,
-                          dst=msg.dst_rank, msg_kind=msg.kind, uid=msg.uid,
+                          dst=msg.dst_rank, msg_kind=msg.kind,
                           attempts=attempt + 1)
         node = self.nodes[dst_node]
         for held, local_done, arrive in self._in_order(msg, seq, None):
@@ -453,8 +450,7 @@ class Cluster:
         new = Event.__new__
         while pending and pending[0][0] <= now:
             w, _src, _cnt, ser, msg, local_done, seq = heappop(pending)
-            in_grant = ingress.use(ser, at=w)
-            arrive = in_grant.end
+            arrive = ingress.use(ser, w) + ser
             if seq is not None:
                 for m, ld, _ in self._in_order(msg, seq,
                                                (msg, local_done, arrive)):
@@ -545,7 +541,7 @@ class Cluster:
         msg.delivered_at = self.engine.now
         tr = self.engine.tracer
         if tr.enabled:
-            eid = self._edge_ids.pop(msg.uid, None)
+            eid = msg.eid
             if eid is not None:
                 tr.msg_deliver(msg, eid, self.engine.now)
         handler = self._endpoints.get((msg.dst_rank, msg.protocol))

@@ -801,12 +801,12 @@ class PerfTracer(Tracer):
             task.created_at, task.ready_at, task.started_at,
             task.finished_at, task.cpu_time)
 
-    def mpi_call(self, rank, op, t0, grant):
-        self.model.mpi_call(rank, t0, grant.end, grant.wait)
+    def mpi_call(self, rank, op, t0, t1, wait):
+        self.model.mpi_call(rank, t0, t1, wait)
 
-    def iwait_pending(self, rank, task, req, t0, grant):
-        self.model.iwait(rank, t0, grant.end, req.kind, req.peer, req.tag,
-                         req.sent_at, grant.wait, task.uid)
+    def iwait_pending(self, rank, task, req, t0, t1, wait):
+        self.model.iwait(rank, t0, t1, req.kind, req.peer, req.tag,
+                         req.sent_at, wait, task.uid)
 
     def op_submit(self, rank, task, op, params, t):
         self.model.op_submit(rank, t, task.uid, params.get("dest"),
@@ -827,9 +827,9 @@ class PerfTracer(Tracer):
             rank, t, pending.seg_id, pending.notif_id, pending.task.uid,
             pending.registered_at, False)
 
-    def gaspi_submit(self, rank, operation, t0, grant, queue, count, depth,
+    def gaspi_submit(self, rank, operation, t0, t1, wait, queue, count, depth,
                      *addressing):
-        self.model.gaspi_wait(rank, grant.end, grant.wait)
+        self.model.gaspi_wait(rank, t1, wait)
 
     def notify_arrival(self, rank, msg, t):
         meta = msg.meta

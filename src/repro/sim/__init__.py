@@ -13,8 +13,9 @@ Design goals (see DESIGN.md §1):
   generators that ``yield`` awaitable events (timeouts, events), in the
   style of SimPy but with a much smaller, auditable core.
 * **Analytical contention** — a :class:`~repro.sim.serial.SerialDevice`
-  (a lock, a NIC channel) records aggregate wait/hold time without events,
-  which the evaluation harness uses to reproduce the paper's "time spent
+  (a lock, a NIC channel) is one ``busy_until`` float: it serves requests
+  in FIFO order without events. Its owners count the wait and hold time
+  that the evaluation harness uses to reproduce the paper's "time spent
   inside the MPI locking system" analysis (§VI-C).
 """
 

@@ -99,8 +99,8 @@ class TAMPI:
             return
         reqs = [p[0] for p in self._pending]
         # holds the MPI global lock; under contention the *detection* of
-        # completions is pushed out to the lock grant (§VI-C)
-        grant, done_idx = self.mpi.testsome_timed(reqs)
+        # completions is pushed out to the call's end (§VI-C)
+        end, wait, done_idx = self.mpi.testsome(reqs)
         if not done_idx:
             if self.recovery is not None:
                 self._check_timeouts()
@@ -114,20 +114,20 @@ class TAMPI:
                 completed.append((task, is_pre))
                 self.stats_completed += 1
                 if tr.enabled:
-                    # iwait registration -> completion detection at the lock
-                    # grant (includes the poller's lock wait, §VI-C)
+                    # iwait registration -> completion detection at the
+                    # call's end (includes the poller's lock wait, §VI-C)
                     tr.iwait_pending(self.mpi.rank, task, req, registered_at,
-                                     grant)
+                                     end, wait)
             else:
                 still.append((req, task, is_pre, registered_at))
         self._pending = still
         self.work.retire(len(done))
-        if grant.wait <= 0.0:
+        if wait <= 0.0:
             self._fulfill(completed)
         else:
             ev = self.runtime.engine.event()
             ev.add_callback(lambda _ev: self._fulfill(completed))
-            ev.succeed(delay=grant.end - self.runtime.engine.now)
+            ev.succeed(delay=end - self.runtime.engine.now)
         if self.recovery is not None:
             self._check_timeouts()
 

@@ -1,6 +1,6 @@
 """The per-layer counter registry.
 
-Every substrate keeps its own counters (``NetworkStats``, ``LockStats``,
+Every substrate keeps its own counters (``NetworkStats``,
 ``GlobalLock.time_in_mpi``, TAMPI's ``stats_*``, GASPI queue/segment
 counters, ``RuntimeStats``). A :class:`MetricsRegistry` holds one collector
 callable per layer and sweeps them all into a single flat ``{name: float}``

@@ -156,17 +156,20 @@ class Tracer:
                      started=task.started_at, finished=task.finished_at,
                      cpu=task.cpu_time)
 
-    def mpi_call(self, rank: int, op: str, t0: float, grant) -> None:
-        """One MPI library call on ``rank``: lock wait plus hold."""
-        self.span("mpi", op, t0, grant.end, rank=rank, wait=grant.wait)
+    def mpi_call(self, rank: int, op: str, t0: float, t1: float,
+                 wait: float) -> None:
+        """One MPI library call on ``rank`` from ``t0`` to ``t1``: lock
+        ``wait`` plus hold."""
+        self.span("mpi", op, t0, t1, rank=rank, wait=wait)
 
-    def iwait_pending(self, rank: int, task, req, t0: float, grant) -> None:
-        """TAMPI detected ``req`` (bound to ``task`` since ``t0``) at the
-        lock grant."""
-        self.span("tampi", "iwait.pending", t0, grant.end, rank=rank,
+    def iwait_pending(self, rank: int, task, req, t0: float, t1: float,
+                      wait: float) -> None:
+        """TAMPI detected ``req`` (bound to ``task`` since ``t0``) at the end
+        ``t1`` of a Testsome that waited ``wait`` for the lock."""
+        self.span("tampi", "iwait.pending", t0, t1, rank=rank,
                   task=task.label, uid=task.uid, kind=req.kind,
                   peer=req.peer, tag=req.tag, sent_at=req.sent_at,
-                  lock_wait=grant.wait)
+                  lock_wait=wait)
 
     def op_submit(self, rank: int, task, op: str, params: dict,
                   t: float) -> None:
@@ -205,16 +208,16 @@ class Tracer:
         self.span("mpi", op + ".block", t0, t1, rank=rank, kind=req.kind,
                   peer=req.peer, tag=req.tag, sent_at=req.sent_at)
 
-    def gaspi_submit(self, rank: int, operation: str, t0: float, grant,
-                     queue: int, count: int, depth: int, local_seg=None,
-                     local_off=0, dest=None, remote_seg=None, remote_off=0,
-                     notif_id=None) -> None:
-        """A GASPI submission from API entry to the queue-device grant,
-        then the queue's depth; the rest is the operation's addressing."""
-        self.span("gaspi", operation, t0, grant.end, rank=rank, queue=queue,
-                  count=count, wait=grant.wait)
-        self.counter("gaspi", f"q{queue}.depth", grant.end, float(depth),
-                     rank=rank)
+    def gaspi_submit(self, rank: int, operation: str, t0: float, t1: float,
+                     wait: float, queue: int, count: int, depth: int,
+                     local_seg=None, local_off=0, dest=None, remote_seg=None,
+                     remote_off=0, notif_id=None) -> None:
+        """A GASPI submission from API entry ``t0`` to the queue's release
+        ``t1`` after ``wait`` for it, then the queue's depth; the rest is
+        the operation's addressing."""
+        self.span("gaspi", operation, t0, t1, rank=rank, queue=queue,
+                  count=count, wait=wait)
+        self.counter("gaspi", f"q{queue}.depth", t1, float(depth), rank=rank)
 
     def notify_arrival(self, rank: int, msg, t: float) -> None:
         """``msg``'s notification landed in ``rank``'s segment now."""

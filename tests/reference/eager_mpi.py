@@ -46,7 +46,6 @@ class Request:
         "event",
         "completed_at",
         "sent_at",
-        "_payload",
     )
 
     def __init__(
@@ -75,8 +74,6 @@ class Request:
         #: recv requests: sim time the matching message was injected at the
         #: sender (wire-visible causality for late-sender analysis)
         self.sent_at: Optional[float] = None
-        #: eager sends stash their buffered copy here until matched
-        self._payload: Optional[np.ndarray] = None
 
     @property
     def done(self) -> bool:
@@ -186,12 +183,6 @@ class MPIProcDriver:
         yield from self._realize()
         yield from self.mpi.barrier()
         yield from self._realize()
-
-    def allreduce(self, value, op=np.add) -> Generator:
-        yield from self._realize()
-        result = yield from self.mpi.allreduce(value, op)
-        yield from self._realize()
-        return result
 
     sync = _realize
 

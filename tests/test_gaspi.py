@@ -203,11 +203,12 @@ class TestSubmissionExtension:
         g.rank(1).segment_register(0, np.zeros(64))
         for q in range(4):
             g.rank(0).write(0, 0, 1, 0, 0, 8, queue=q)
-        devs = [g.rank(0).queues[q].device for q in range(4)]
-        assert all(d.stats.contended_acquisitions == 0 for d in devs)
-        # same queue twice does serialize
+        op = INFINIBAND.cost("gaspi.op")
+        qs = g.rank(0).queues
+        assert all(q.wait_time == 0.0 and q.hold_time == op for q in qs)
+        # same queue twice does serialize: the second write waits one hold
         g.rank(0).write(0, 0, 1, 0, 0, 8, queue=0)
-        assert devs[0].stats.contended_acquisitions == 1
+        assert qs[0].wait_time == op and qs[0].hold_time == 2 * op
 
 
 class TestFabricAsymmetry:

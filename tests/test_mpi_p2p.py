@@ -15,6 +15,7 @@ from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
 )
+from repro.collectives import TwoSidedCollectives
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.requests import Request
 from tests.conftest import run_all
@@ -236,9 +237,11 @@ class TestCompletionAPIs:
                 r = yield from drv.isend(np.array([float(i)]), 1, tag=i)
                 reqs.append(r)
             # immediately after posting, likely nothing has completed
-            log["early"] = drv.mpi.testsome(reqs)
+            _end, _wait, log["early"] = drv.mpi.testsome(reqs)
             yield eng.timeout(1.0)
-            log["late"] = drv.mpi.testsome(reqs)
+            end, wait, log["late"] = drv.mpi.testsome(reqs)
+            # the lock is free: the call ends one hold after the engine's now
+            assert wait == 0.0 and end > eng.now
             log["test"] = drv.mpi.test(reqs[0])
 
         def receiver(drv):
@@ -277,7 +280,9 @@ class TestCollectives:
         vals = {}
 
         def main(drv):
-            v = yield from drv.allreduce(np.array([float(drv.mpi.rank + 1)]))
+            yield from drv.sync()
+            v = yield from TwoSidedCollectives(drv.mpi).allreduce(
+                np.array([float(drv.mpi.rank + 1)]))
             vals[drv.mpi.rank] = float(v[0])
 
         run_all(eng, [MPIProcDriver(mpi.rank(r)).spawn(main) for r in range(n)])
@@ -298,25 +303,15 @@ class TestCollectives:
         latest_arrival = 0.01 * (n - 1)
         assert all(t >= latest_arrival for t in after.values())
 
-    def test_gather(self):
-        eng, mpi = make_ctx(n_ranks=3, ranks_per_node=3)
-        out = {}
-
-        def main(drv):
-            res = yield from drv.mpi.gather(np.array([float(drv.mpi.rank)]), root=1)
-            out[drv.mpi.rank] = res
-
-        run_all(eng, [MPIProcDriver(mpi.rank(r)).spawn(main) for r in range(3)])
-        assert out[0] is None and out[2] is None
-        assert [float(a[0]) for a in out[1]] == [0.0, 1.0, 2.0]
-
     def test_two_consecutive_collectives_do_not_cross_match(self):
         eng, mpi = make_ctx(n_ranks=4, ranks_per_node=2)
         vals = {}
 
         def main(drv):
-            a = yield from drv.allreduce(np.array([1.0]))
-            b = yield from drv.allreduce(np.array([10.0]))
+            yield from drv.sync()
+            coll = TwoSidedCollectives(drv.mpi)
+            a = yield from coll.allreduce(np.array([1.0]))
+            b = yield from coll.allreduce(np.array([10.0]))
             vals[drv.mpi.rank] = (float(a[0]), float(b[0]))
 
         run_all(eng, [MPIProcDriver(mpi.rank(r)).spawn(main) for r in range(4)])

@@ -457,7 +457,6 @@ class TestOneBuilderTwoFeeds:
         task = NS(label="halo", uid=17, created_at=0.5, ready_at=1.0,
                   started_at=1.5, finished_at=2.0, completed_at=2.5,
                   cpu_time=0.25)
-        grant = NS(end=2.25, wait=0.125)
         req = NS(kind="recv", peer=1, tag=7, sent_at=0.75)
         late = NS(op="write_notify", submitted_at=1.0, done_at=1.75)
         prompt = NS(op="write", submitted_at=2.0, done_at=2.5)
@@ -475,14 +474,14 @@ class TestOneBuilderTwoFeeds:
             tr.event_wait(runtime, task)
             tr.task_on_core(worker, task, 1.5, "sleep")
             tr.task_done(runtime, task)
-            tr.mpi_call(3, "testsome", 2.0, grant)
-            tr.iwait_pending(3, task, req, 1.25, grant)
+            tr.mpi_call(3, "testsome", 2.0, 2.25, 0.125)
+            tr.iwait_pending(3, task, req, 1.25, 2.25, 0.125)
             tr.op_submit(3, task, "write_notify", params, 1.0)
             tr.notify_immediate(3, task, 0, 4, 2.5)
             tr.op_retired(3, late, 1, 17, 2.5)
             tr.op_retired(3, prompt, 0, None, 2.5)
             tr.notify_fulfilled(3, pending, 2.5)
-            tr.gaspi_submit(3, "write_notify", 1.0, grant, 1, 8, 2)
+            tr.gaspi_submit(3, "write_notify", 1.0, 2.25, 0.125, 1, 8, 2)
             tr.notify_arrival(3, notify, 2.0)
             tr.wire_span(notify, 1.5, 2.0, False, 1.625)
             tr.msg_send(tagged, 8, 1.5)

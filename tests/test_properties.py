@@ -12,7 +12,7 @@ from repro.mpi.requests import Request
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.network.message import Message
 from repro.sim import Engine
-from repro.sim.serial import SerialDevice
+from repro.mpi.threading import GlobalLock
 from repro.tasking import Runtime, RuntimeConfig, In, Out, InOut
 from tests.conftest import run_all
 from tests.reference.heap_engine import HeapEngine
@@ -24,24 +24,23 @@ class TestSerialDeviceProperties:
                     max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_fifo_no_overlap_no_reorder(self, reqs):
-        """Grants never overlap, never reorder, and wait+hold accounting is
-        exact."""
-        eng = Engine()
-        dev = SerialDevice(eng)
+        """Grants never overlap, never reorder, and the lock's wait+hold
+        accounting is exact."""
+        lock = GlobalLock(Engine(), 0)
         reqs = sorted(reqs, key=lambda t: t[0])  # arrivals in time order
         prev_end = 0.0
         total_wait = total_hold = 0.0
         for at, hold in reqs:
-            g = dev.use(hold, at=at)
-            assert g.start >= at
-            assert g.start >= prev_end  # FIFO, no overlap
-            assert g.end == pytest.approx(g.start + hold)
-            assert g.wait == pytest.approx(g.start - at)
-            prev_end = g.end
-            total_wait += g.wait
+            start = lock.enter(hold, at=at)
+            assert start >= at
+            assert start >= prev_end  # FIFO, no overlap
+            prev_end = start + hold
+            assert lock.device.busy_until == prev_end
+            total_wait += start - at
             total_hold += hold
-        assert dev.stats.total_wait_time == pytest.approx(total_wait)
-        assert dev.stats.total_hold_time == pytest.approx(total_hold)
+        assert lock.calls == len(reqs)
+        assert lock.wait_in_mpi == total_wait
+        assert lock.time_in_mpi == pytest.approx(total_wait + total_hold)
 
 
 class TestMatchingProperties:

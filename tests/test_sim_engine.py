@@ -238,18 +238,18 @@ class TestDeterminism:
 
             # three processes contend for one FIFO device: each waits for
             # its grant, then holds it
-            dev = SerialDevice(eng)
+            dev = SerialDevice()
 
             def worker(name):
-                grant = dev.use(0.5)
-                yield eng.timeout(grant.wait)
+                start = dev.use(0.5, eng.now)
+                yield eng.timeout(start - eng.now)
                 trace.append((eng.now, name))
-                yield eng.timeout(grant.end - eng.now)
+                yield eng.timeout(start + 0.5 - eng.now)
 
             for n in ("a", "b", "c"):
                 eng.process(worker(n))
             eng.run()
-            return trace + [(dev.busy_until, dev.stats)]
+            return trace + [(eng.now, dev.busy_until)]
 
         first = run_once()
         assert first[:3] == [(0.0, "a"), (0.5, "b"), (1.0, "c")]

@@ -1,51 +1,58 @@
 """Unit tests for serial devices."""
 
+import numpy as np
 import pytest
 
+from repro.gaspi import GaspiContext
+from repro.mpi.threading import GlobalLock
+from repro.network import Cluster, INFINIBAND
 from repro.sim import Engine
 from repro.sim.serial import SerialDevice
 
 
 class TestSerialDevice:
     def test_uncontended_service_is_immediate(self):
-        eng = Engine()
-        dev = SerialDevice(eng)
-        g = dev.use(2.0)
-        assert g.start == 0.0 and g.end == 2.0 and g.wait == 0.0
+        dev = SerialDevice()
+        assert dev.use(2.0, 0.0) == 0.0
+        assert dev.busy_until == 2.0
 
     def test_back_to_back_requests_queue(self):
-        eng = Engine()
-        dev = SerialDevice(eng)
-        g1 = dev.use(2.0)
-        g2 = dev.use(3.0)
-        assert g2.start == g1.end
-        assert g2.wait == pytest.approx(2.0)
-        assert g2.end == pytest.approx(5.0)
+        dev = SerialDevice()
+        s1 = dev.use(2.0, 0.0)
+        s2 = dev.use(3.0, 0.0)
+        assert s2 == s1 + 2.0  # starts when the first ends: waited 2.0
+        assert dev.busy_until == pytest.approx(5.0)
 
     def test_idle_gap_not_carried(self):
-        eng = Engine()
-        dev = SerialDevice(eng)
-        dev.use(1.0)
-        g = dev.use(1.0, at=10.0)
-        assert g.start == 10.0 and g.wait == 0.0
+        dev = SerialDevice()
+        dev.use(1.0, 0.0)
+        assert dev.use(1.0, 10.0) == 10.0
 
     def test_stats_accumulate(self):
+        """The owners count: the MPI lock its time inside MPI, a GASPI
+        queue its wait and hold time."""
+        lock = GlobalLock(Engine(), 0)
+        for _ in range(3):
+            lock.enter(1.0)
+        assert lock.calls == 3
+        assert lock.wait_in_mpi == pytest.approx(1.0 + 2.0)
+        assert lock.time_in_mpi == pytest.approx(1.0 + 2.0 + 3.0)
+
         eng = Engine()
-        dev = SerialDevice(eng)
-        dev.use(1.0)
-        dev.use(1.0)
-        dev.use(1.0)
-        st = dev.stats
-        assert st.acquisitions == 3
-        assert st.contended_acquisitions == 2
-        assert st.total_wait_time == pytest.approx(1.0 + 2.0)
-        assert st.total_hold_time == pytest.approx(3.0)
+        cl = Cluster(eng, 2, INFINIBAND)
+        cl.place_ranks_block(2, 1)
+        g = GaspiContext(cl, n_queues=1)
+        g.rank(0).segment_register(0, np.zeros(8))
+        g.rank(1).segment_register(0, np.zeros(8))
+        for _ in range(3):
+            g.rank(0).write(0, 0, 1, 0, 0, 8, queue=0)
+        op = INFINIBAND.cost("gaspi.op")
+        q = g.rank(0).queues[0]
+        assert q.wait_time == pytest.approx(op + 2 * op)
+        assert q.hold_time == pytest.approx(3 * op)
 
     def test_explicit_at_parameter(self):
-        eng = Engine()
-        dev = SerialDevice(eng)
-        g1 = dev.use(5.0, at=1.0)
-        g2 = dev.use(1.0, at=2.0)
-        assert g1.start == 1.0
-        assert g2.start == 6.0 and g2.wait == pytest.approx(4.0)
-
+        dev = SerialDevice()
+        assert dev.use(5.0, 1.0) == 1.0
+        s2 = dev.use(1.0, 2.0)
+        assert s2 == 6.0 and s2 - 2.0 == pytest.approx(4.0)

@@ -317,6 +317,6 @@ class TestPollerMechanics:
             yield from rt.taskwait()
 
         run_all(eng, [rt0.spawn_main(sender_main), rt1.spawn_main(receiver_main)])
-        waits = [g.rank(0).queues[q].device.stats.total_wait_time for q in range(8)]
+        waits = [g.rank(0).queues[q].wait_time for q in range(8)]
         # per-queue waits exist but are bounded by a few op-costs each
         assert max(waits) < 64 * INFINIBAND.cost("gaspi.op")
