@@ -133,3 +133,57 @@ class TestEndToEnd:
         assert any(sched.moves), "schedule has no migrations; weaken test input"
         res = run_miniamr(spec, params, schedule=sched)
         assert res.extra["time_in_mpi"] > 0  # TAMPI moved blocks over MPI
+
+
+def _schedule_digest(params, n_ranks):
+    """sha256 over everything a job consumes of the precomputed mesh
+    timeline: each mesh's order, owners and face pairs, the block moves,
+    and every rank's epoch plan."""
+    import hashlib
+
+    sched = build_mesh_schedule(params, n_ranks)
+    h = hashlib.sha256()
+
+    def put(obj):
+        h.update(repr(obj).encode())
+        h.update(b"\n")
+
+    for mesh in sched.meshes:
+        put(list(mesh.order))
+        put([mesh.owner[b] for b in mesh.order])
+        put(len(mesh.owner))
+        put([tuple(p) for p in mesh.pairs])
+    put([[tuple(m) for m in moves] for moves in sched.moves])
+    for e, mesh in enumerate(sched.meshes):
+        for plan in build_epoch_plans(mesh, n_ranks, e):
+            put((plan.rank, plan.epoch, list(plan.blocks)))
+            put([(b, plan.slot_of[b]) for b in plan.blocks])
+            put(len(plan.slot_of))
+            put([(p.gidx, p.src, p.dst_rank, p.src_slot, p.remote_slot,
+                  p.ack_id) for p in plan.out_pairs])
+            put([(p.gidx, p.src, p.dst, p.src_rank, p.slot, p.sender_ack_id)
+                 for p in plan.in_pairs])
+            put([(b, [(s.kind, s.slot) for s in plan.sources.get(b, [])])
+                 for b in plan.blocks])
+    return h.hexdigest()
+
+
+#: the benchmark's miniAMR job shape and Fig. 12's ``BASE``: the mesh
+#: depends only on the geometry, epochs and seed, which the two share, so
+#: their digests coincide at equal rank counts
+_BENCH_AMR = AMRParams(timesteps=2, refine_every=1, compute_data=False)
+_FIG12_AMR = AMRParams(nx=4, ny=4, nz=4, max_level=2, cell_dim=8,
+                       variables=20, timesteps=8, refine_every=4, stages=2,
+                       compute_data=False)
+
+
+@pytest.mark.parametrize("params, n_ranks, digest", [
+    (_BENCH_AMR, 32, "efc0978e95ccb0988fea1489c1437b8ffe0726a8883f7933d884247a93f85e29"),
+    (_BENCH_AMR, 4, "f9d2ab436717ec1b668208846b0925ef8748abd54a8cd29befc94e27303cb9a6"),
+    (_FIG12_AMR, 32, "efc0978e95ccb0988fea1489c1437b8ffe0726a8883f7933d884247a93f85e29"),
+], ids=["bench-32", "bench-4", "fig12-32"])
+def test_schedule_and_plans_digest_is_pinned(params, n_ranks, digest):
+    """The mesh schedule and the agreement-phase plans are pure functions
+    of (params, n_ranks); any change to how they are computed must leave
+    every order, owner, pair, move, slot and gather source where it was."""
+    assert _schedule_digest(params, n_ranks) == digest
