@@ -21,11 +21,13 @@ Static checkers:
   of a dynamic checker; ``examples/static/`` validates them
   differentially.
 
-The simulation-aware checkers load lazily when a pipeline is constructed.
+The simulation-aware checkers load lazily when a pipeline is constructed,
+and the static ones on first access to their names: a job that imports
+the pipeline does not pay for the lint or the verifier.
 """
 
-from repro.analysis.lint import LintFinding, lint_file, lint_paths
-from repro.analysis.static import verify_file, verify_paths
+import importlib
+
 from repro.analysis.pipeline import (
     SEV_ERROR,
     SEV_WARNING,
@@ -33,6 +35,22 @@ from repro.analysis.pipeline import (
     AnalysisPipeline,
     Finding,
 )
+
+#: public names of the static checkers -> the module that defines them
+_STATIC = {
+    "LintFinding": "repro.analysis.lint",
+    "lint_file": "repro.analysis.lint",
+    "lint_paths": "repro.analysis.lint",
+    "verify_file": "repro.analysis.static",
+    "verify_paths": "repro.analysis.static",
+}
+
+
+def __getattr__(name: str):
+    if name not in _STATIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_STATIC[name]), name)
+
 
 __all__ = [
     "AnalysisError",

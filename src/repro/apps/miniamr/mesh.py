@@ -11,20 +11,24 @@ The whole mesh schedule (one mesh per refinement epoch, plus the block
 moves between epochs) is computed up-front by :func:`build_mesh_schedule`
 from the deterministic object trajectories; the sequential reference and
 all three distributed variants consume the *same* schedule, so block
-values can be compared bit-for-bit.
+values can be compared bit-for-bit. It takes time linear in the blocks: a
+table-driven Morton key, a worklist for the 2:1 balance, one dictionary
+probe per face for the pairs and a first-descendant index for
+:func:`source_of`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from itertools import product
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
 BlockKey = Tuple[int, int, int, int]  # (level, ix, iy, iz)
 
-#: face directions: (axis, sign)
-FACES = [(0, -1), (0, +1), (1, -1), (1, +1), (2, -1), (2, +1)]
 
 
 @dataclass
@@ -91,8 +95,34 @@ def make_objects(params: AMRParams) -> List[Sphere]:
     return objs
 
 
+#: per face id 0..5: its axis and sign, its unit step, and the offsets of
+#: the four finer children of the cube across it that touch the shared
+#: face, in ascending key order
+_FACE_GEOMETRY = [
+    (0, -1, -1, 0, 0, ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
+    (0, +1, +1, 0, 0, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))),
+    (1, -1, 0, -1, 0, ((0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))),
+    (1, +1, 0, +1, 0, ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))),
+    (2, -1, 0, 0, -1, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))),
+    (2, +1, 0, 0, +1, ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))),
+]
+
+
+def _spread_bits(v: int) -> int:
+    """Move bit ``k`` of the byte ``v`` to bit ``3k``."""
+    v = (v | v << 8) & 0xF00F
+    v = (v | v << 4) & 0xC30C3
+    return (v | v << 2) & 0x249249
+
+
+_SPREAD = [_spread_bits(v) for v in range(256)]
+
+
 class Mesh:
-    """One epoch's set of leaf blocks plus its partition and face pairs."""
+    """One epoch's set of leaf blocks plus its partition and face pairs.
+
+    ``order`` holds the canonical key tuples: ``pairs`` and the plans built
+    from them reuse those objects rather than making equal copies."""
 
     def __init__(self, params: AMRParams, leaves: Set[BlockKey]):
         self.params = params
@@ -101,110 +131,108 @@ class Mesh:
         self.order: List[BlockKey] = sorted(leaves, key=self._morton)
         self.index: Dict[BlockKey, int] = {b: i for i, b in enumerate(self.order)}
         self.owner: Dict[BlockKey, int] = {}
+        #: per level: the index-space size along each axis
+        self._extent = [(params.nx << L, params.ny << L, params.nz << L)
+                        for L in range(params.max_level + 1)]
         #: directed face pairs (src, dst, face_id) in deterministic order
         self.pairs: List[Tuple[BlockKey, BlockKey, int]] = []
         self._build_pairs()
 
     # ------------------------------------------------------------------
     def _morton(self, b: BlockKey) -> Tuple:
+        """Sort key: the low 16 bits of each finest-level origin
+        coordinate, interleaved (x highest), then the level."""
         L, ix, iy, iz = b
-        # origin at the finest resolution, then interleave bits
         shift = self.params.max_level - L
-        fx, fy, fz = ix << shift, iy << shift, iz << shift
+        sp = _SPREAD
         key = 0
-        for bit in range(16):
-            key |= ((fx >> bit) & 1) << (3 * bit + 2)
-            key |= ((fy >> bit) & 1) << (3 * bit + 1)
-            key |= ((fz >> bit) & 1) << (3 * bit)
+        for c, pos in ((ix, 2), (iy, 1), (iz, 0)):
+            f = c << shift
+            key |= (sp[f & 0xFF] | sp[(f >> 8) & 0xFF] << 24) << pos
         return (key, L)
 
     def partition(self, n_ranks: int) -> None:
         """Equal-block-count split of the Morton order (miniAMR's default
         load balancing)."""
-        n = len(self.order)
-        base, extra = divmod(n, n_ranks)
-        pos = 0
+        base, extra = divmod(len(self.order), n_ranks)
+        cuts = [0]
         for r in range(n_ranks):
-            cnt = base + (1 if r < extra else 0)
-            for b in self.order[pos : pos + cnt]:
-                self.owner[b] = r
-            pos += cnt
+            lo, hi = cuts[-1], cuts[-1] + base + (1 if r < extra else 0)
+            self.owner.update(dict.fromkeys(self.order[lo:hi], r))
+            cuts.append(hi)
+        self._cuts = cuts
 
     # ------------------------------------------------------------------
-    def _dims_at(self, level: int) -> Tuple[int, int, int]:
-        p = self.params
-        return (p.nx << level, p.ny << level, p.nz << level)
-
     def face_neighbors(self, b: BlockKey, face: int) -> List[BlockKey]:
         """Leaf blocks adjacent to ``b`` across ``face`` (0..5). With 2:1
         balance: one same-level, one coarser, or four finer leaves."""
-        L, ix, iy, iz = b
-        axis, sign = FACES[face]
-        coord = [ix, iy, iz]
-        coord[axis] += sign
-        dims = self._dims_at(L)
-        if not 0 <= coord[axis] < dims[axis]:
-            return []
-        same = (L, coord[0], coord[1], coord[2])
-        if same in self.leaves:
-            return [same]
-        if L > 0:
-            parent = (L - 1, coord[0] // 2, coord[1] // 2, coord[2] // 2)
-            if parent in self.leaves:
-                return [parent]
-        # four finer children touching the shared face
-        if L < self.params.max_level:
-            cx, cy, cz = coord[0] * 2, coord[1] * 2, coord[2] * 2
-            if sign < 0:
-                # neighbour is on the -axis side; its face children are the
-                # ones with max index along the axis
-                offs_axis = [1]
-            else:
-                offs_axis = [0]
-            out = []
-            for da in offs_axis:
-                for d1 in (0, 1):
-                    for d2 in (0, 1):
-                        d = [0, 0, 0]
-                        d[axis] = da
-                        other = [a for a in (0, 1, 2) if a != axis]
-                        d[other[0]] = d1
-                        d[other[1]] = d2
-                        cand = (L + 1, cx + d[0], cy + d[1], cz + d[2])
-                        if cand in self.leaves:
-                            out.append(cand)
-            return sorted(out)
-        return []
+        out: List[Tuple[BlockKey, BlockKey, int]] = []
+        self._add_pairs(b, ((face, _FACE_GEOMETRY[face]),), out)
+        return [nb for _b, nb, _face in out]
 
     def _build_pairs(self) -> None:
+        faces = tuple(enumerate(_FACE_GEOMETRY))
         for b in self.order:
-            for face in range(6):
-                for nb in self.face_neighbors(b, face):
-                    # b sends its face data to nb
-                    self.pairs.append((b, nb, face))
+            self._add_pairs(b, faces, self.pairs)
+
+    def _add_pairs(self, b: BlockKey, faces, out: list) -> None:
+        """Append ``(b, nb, face)`` for each leaf ``nb`` adjacent to ``b``
+        across each ``(face, geometry)`` of ``faces``: the same-level leaf,
+        else the coarser one, else the finer ones in key order."""
+        L, ix, iy, iz = b
+        get, order, lim = self.index.get, self.order, self._extent[L]
+        finest, append = L == self.params.max_level, out.append
+        for face, (axis, sign, dx, dy, dz, kids) in faces:
+            if not 0 <= b[axis + 1] + sign < lim[axis]:
+                continue
+            x, y, z = ix + dx, iy + dy, iz + dz
+            i = get((L, x, y, z))
+            if i is None and L:
+                i = get((L - 1, x >> 1, y >> 1, z >> 1))
+            if i is not None:
+                append((b, order[i], face))  # b sends its face data
+            elif not finest:
+                x, y, z = 2 * x, 2 * y, 2 * z
+                for u, v, w in kids:
+                    i = get((L + 1, x + u, y + v, z + w))
+                    if i is not None:
+                        append((b, order[i], face))
 
     def local_blocks(self, rank: int) -> List[BlockKey]:
-        return [b for b in self.order if self.owner[b] == rank]
+        """``rank``'s blocks in Morton order (a contiguous run of it)."""
+        return self.order[self._cuts[rank]:self._cuts[rank + 1]]
 
     @property
     def n_blocks(self) -> int:
         return len(self.order)
+
+    @cached_property
+    def first_descendant(self) -> Dict[BlockKey, BlockKey]:
+        """Every leaf and every ancestor of a leaf, mapped to the first
+        leaf in Morton order that it contains (a leaf contains itself)."""
+        first: Dict[BlockKey, BlockKey] = {}
+        for leaf in self.order:
+            L, x, y, z = leaf
+            while L >= 0:
+                first.setdefault((L, x, y, z), leaf)
+                L, x, y, z = L - 1, x >> 1, y >> 1, z >> 1
+        return first
 
 
 # ----------------------------------------------------------------------
 # mesh construction per epoch
 # ----------------------------------------------------------------------
 
-def _required_level(params: AMRParams, objs: Sequence[Sphere], epoch: int,
+def _required_level(params: AMRParams, spheres: Sequence[tuple],
                     center: Tuple[float, float, float]) -> int:
     """Distance-to-surface refinement bands: closer to an object surface
-    means finer, like miniAMR's surface-intersection refinement."""
+    means finer, like miniAMR's surface-intersection refinement.
+    ``spheres`` holds each object's (centre, radius) at this epoch."""
     best = 0
-    for o in objs:
-        c = o.at(epoch)
-        dist = abs(
-            float(np.sqrt(sum((a - b) ** 2 for a, b in zip(center, c)))) - o.radius
-        )
+    x, y, z = center
+    for (cx, cy, cz), radius in spheres:
+        dist = abs(math.sqrt((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2)
+                   - radius)
         lvl = params.max_level - int(dist / 0.6)
         if lvl > best:
             best = lvl
@@ -214,75 +242,73 @@ def _required_level(params: AMRParams, objs: Sequence[Sphere], epoch: int,
 def build_mesh(params: AMRParams, objs: Sequence[Sphere], epoch: int) -> Mesh:
     """Build the 2:1-balanced leaf set for one refinement epoch."""
     leaves: Set[BlockKey] = set()
+    spheres = [(o.at(epoch), o.radius) for o in objs]
 
     def refine(b: BlockKey) -> None:
         L, ix, iy, iz = b
-        size = 1.0 / (1 << L)  # block edge in level-0 units
-        center = ((ix + 0.5) * size, (iy + 0.5) * size, (iz + 0.5) * size)
-        req = _required_level(params, objs, epoch, center)
-        if L >= req or L >= params.max_level:
-            leaves.add(b)
-            return
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    refine((L + 1, ix * 2 + dx, iy * 2 + dy, iz * 2 + dz))
+        if L < params.max_level:
+            size = 1.0 / (1 << L)  # block edge in level-0 units
+            center = ((ix + 0.5) * size, (iy + 0.5) * size, (iz + 0.5) * size)
+            if L < _required_level(params, spheres, center):
+                for child in _children(b):
+                    refine(child)
+                return
+        leaves.add(b)
 
-    for ix in range(params.nx):
-        for iy in range(params.ny):
-            for iz in range(params.nz):
-                refine((0, ix, iy, iz))
+    for ijk in product(range(params.nx), range(params.ny), range(params.nz)):
+        refine((0, *ijk))
 
     _enforce_2to1(params, leaves)
     return Mesh(params, leaves)
 
 
+def _children(b: BlockKey) -> List[BlockKey]:
+    L, ix, iy, iz = b
+    return [(L + 1, 2 * ix + dx, 2 * iy + dy, 2 * iz + dz)
+            for dx, dy, dz in product((0, 1), repeat=3)]
+
+
 def _enforce_2to1(params: AMRParams, leaves: Set[BlockKey]) -> None:
-    """Refine any leaf whose face neighbour region is ≥2 levels finer."""
-    changed = True
-    while changed:
-        changed = False
-        for b in sorted(leaves):
-            L, ix, iy, iz = b
-            if L >= params.max_level:
-                continue
-            needs = False
-            for axis, sign in FACES:
-                coord = [ix, iy, iz]
-                coord[axis] += sign
-                dims = (params.nx << L, params.ny << L, params.nz << L)
-                if not 0 <= coord[axis] < dims[axis]:
-                    continue
-                # is any leaf ≥2 levels finer inside the neighbour region?
-                if _has_leaf_finer_than(leaves, (L, *coord), L + 1, params):
-                    needs = True
-                    break
-            if needs:
-                leaves.discard(b)
-                for dx in (0, 1):
-                    for dy in (0, 1):
-                        for dz in (0, 1):
-                            leaves.add((L + 1, ix * 2 + dx, iy * 2 + dy, iz * 2 + dz))
-                changed = True
-                break
-    return
+    """Refine every leaf whose face-neighbour cube (the same-level cube
+    across a face) holds a leaf ≥2 levels finer, until none does. Only
+    forced refinements happen, so the result is the unique minimal one in
+    any visiting order; a refinement can newly force only its children and
+    the leaves across a face from one of its ancestors."""
+    dims = (params.nx, params.ny, params.nz)
 
+    def across(b: BlockKey):
+        """The in-domain same-level cubes across each face of ``b``."""
+        L, ix, iy, iz = b
+        for axis, _sign, dx, dy, dz, _kids in _FACE_GEOMETRY:
+            n = (ix + dx, iy + dy, iz + dz)
+            if 0 <= n[axis] < dims[axis] << L:
+                yield (L, *n)
 
-def _has_leaf_finer_than(leaves: Set[BlockKey], region: BlockKey, limit: int,
-                         params: AMRParams) -> bool:
-    """True if ``region`` (a level-L index cube) contains a leaf strictly
-    finer than ``limit``."""
-    L, ix, iy, iz = region
-    for lvl in range(limit + 1, params.max_level + 1):
-        shift = lvl - L
-        n = 1 << shift
-        for dx in range(n):
-            for dy in range(n):
-                for dz in range(n):
-                    if ((lvl, (ix << shift) + dx, (iy << shift) + dy,
-                         (iz << shift) + dz)) in leaves:
-                        return True
-    return False
+    def holds_finer(cube: BlockKey) -> bool:
+        """True if ``cube`` (not a leaf) holds a leaf ≥2 levels finer: the
+        leaves tile the domain, so that is when it lies in no coarser leaf
+        and not all of its children are leaves."""
+        L, x, y, z = cube
+        for _ in range(L + 1):
+            if (L, x, y, z) in leaves:
+                return False
+            L, x, y, z = L - 1, x >> 1, y >> 1, z >> 1
+        return not all(c in leaves for c in _children(cube))
+
+    work = list(leaves)
+    while work:
+        b = work.pop()
+        if (b not in leaves or b[0] >= params.max_level
+                or not any(holds_finer(n) for n in across(b))):
+            continue
+        leaves.discard(b)
+        kids = _children(b)
+        leaves.update(kids)
+        work.extend(kids)
+        L, x, y, z = b
+        while L > 0:
+            L, x, y, z = L - 1, x >> 1, y >> 1, z >> 1
+            work.extend(n for n in across((L, x, y, z)) if n in leaves)
 
 
 @dataclass
@@ -307,13 +333,10 @@ def build_mesh_schedule(params: AMRParams, n_ranks: int) -> MeshSchedule:
         m.partition(n_ranks)
         meshes.append(m)
     sched = MeshSchedule(params, meshes)
-    for e in range(1, len(meshes)):
-        prev, cur = meshes[e - 1], meshes[e]
+    for prev, cur in zip(meshes, meshes[1:]):
         moves = []
         for b in cur.order:
             src = source_of(prev, b)
-            if src is None:  # pragma: no cover - domain always covered
-                continue
             old_owner, new_owner = prev.owner[src], cur.owner[b]
             if old_owner != new_owner:
                 moves.append((b, src, old_owner, new_owner))
@@ -321,28 +344,14 @@ def build_mesh_schedule(params: AMRParams, n_ranks: int) -> MeshSchedule:
     return sched
 
 
-def source_of(prev: Mesh, b: BlockKey) -> Optional[BlockKey]:
+def source_of(prev: Mesh, b: BlockKey) -> BlockKey:
     """The block in the previous mesh whose data initializes ``b``: itself
-    if unchanged, its ancestor if ``b`` was refined out of it, or its
-    canonical (Morton-first) descendant if ``b`` coarsens several."""
-    if b in prev.leaves:
-        return b
-    L, ix, iy, iz = b
-    lvl, x, y, z = L, ix, iy, iz
-    while lvl > 0:
-        lvl, x, y, z = lvl - 1, x // 2, y // 2, z // 2
-        if (lvl, x, y, z) in prev.leaves:
-            return (lvl, x, y, z)
-    for cand in prev.order:  # Morton order => canonical first descendant
-        if _is_descendant(cand, b):
-            return cand
-    return None
-
-
-def _is_descendant(cand: BlockKey, b: BlockKey) -> bool:
-    cl, cx, cy, cz = cand
-    L, ix, iy, iz = b
-    if cl <= L:
-        return False
-    shift = cl - L
-    return (cx >> shift, cy >> shift, cz >> shift) == (ix, iy, iz)
+    if unchanged, its canonical (Morton-first) descendant if ``b``
+    coarsens several, or its ancestor if ``b`` was refined out of it."""
+    src = prev.first_descendant.get(b)
+    if src is not None:
+        return src
+    L, x, y, z = b
+    while (L, x, y, z) not in prev.leaves:  # the leaves tile the domain
+        L, x, y, z = L - 1, x >> 1, y >> 1, z >> 1
+    return prev.order[prev.index[(L, x, y, z)]]

@@ -11,6 +11,9 @@ therefore every rank's set of cross-rank face pairs change. An
 * for every local block, the ordered face-value sources (local slots or
   incoming-pair slots) that reproduce the reference gather order exactly.
 
+One pass over the mesh's pairs builds all plans: named tuples that share
+the mesh's key tuples, with gather order = global pair order.
+
 The agreement itself is performed with global knowledge (the simulation
 holds all ranks in one process); its *cost* is charged to each rank's
 serial phase, and a barrier separates it from the stages — matching the
@@ -21,16 +24,13 @@ remote offset and notification identifier of each RMA message".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple
 
 from repro.apps.miniamr.mesh import BlockKey, Mesh
 
 
-@dataclass
-class OutPair:
+class OutPair(NamedTuple):
     gidx: int  #: index into mesh.pairs
     src: BlockKey
     dst_rank: int
@@ -39,8 +39,7 @@ class OutPair:
     ack_id: int  #: my ack-notification id (receiver acks to this)
 
 
-@dataclass
-class InPair:
+class InPair(NamedTuple):
     gidx: int
     src: BlockKey
     dst: BlockKey
@@ -49,8 +48,7 @@ class InPair:
     sender_ack_id: int  #: the ack id to notify on the sender's ack segment
 
 
-@dataclass
-class FaceSource:
+class FaceSource(NamedTuple):
     """One face value consumed by a block's stage update."""
 
     #: "local" (another block on this rank) or "remote" (an incoming pair)
@@ -68,7 +66,7 @@ class EpochPlan:
     out_pairs: List[OutPair]
     in_pairs: List[InPair]
     #: per local block: ordered face sources (reference gather order)
-    sources: Dict[BlockKey, List[FaceSource]] = field(default_factory=dict)
+    sources: Dict[BlockKey, List[FaceSource]]
 
     @property
     def n_blocks(self) -> int:
@@ -77,52 +75,29 @@ class EpochPlan:
 
 def build_epoch_plans(mesh: Mesh, n_ranks: int, epoch: int) -> List[EpochPlan]:
     """Build every rank's plan for one epoch (the agreement phase's
-    outcome)."""
+    outcome): a receiver numbers its incoming pairs (slot = offset =
+    notification id), a sender its outgoing pairs (ack id)."""
     plans = []
     for r in range(n_ranks):
         blocks = mesh.local_blocks(r)
-        plans.append(EpochPlan(
-            rank=r, epoch=epoch, blocks=blocks,
-            slot_of={b: i for i, b in enumerate(blocks)},
-            out_pairs=[], in_pairs=[],
-        ))
-    # first pass: receivers number their incoming pairs (slot = offset =
-    # notification id) and senders number their outgoing pairs (ack id)
-    in_slot: Dict[int, int] = {}
-    out_slot: Dict[int, int] = {}
+        plans.append(EpochPlan(r, epoch, blocks,
+                               {b: i for i, b in enumerate(blocks)}, [], [],
+                               {b: [] for b in blocks}))
+    owner = mesh.owner
+    # immutable, so every plan shares one FaceSource per local slot
+    local = [FaceSource("local", i)
+             for i in range(max(p.n_blocks for p in plans))]
     for gidx, (src, dst, _face) in enumerate(mesh.pairs):
-        so, do = mesh.owner[src], mesh.owner[dst]
+        so, do = owner[src], owner[dst]
+        receiver = plans[do]
         if so == do:
+            receiver.sources[dst].append(local[receiver.slot_of[src]])
             continue
-        in_slot[gidx] = len(plans[do].in_pairs)
-        out_slot[gidx] = len(plans[so].out_pairs)
-        plans[do].in_pairs.append(InPair(
-            gidx=gidx, src=src, dst=dst, src_rank=so,
-            slot=in_slot[gidx], sender_ack_id=out_slot[gidx],
-        ))
-        plans[so].out_pairs.append(OutPair(
-            gidx=gidx, src=src, dst_rank=do,
-            src_slot=plans[so].slot_of[src],
-            remote_slot=in_slot[gidx], ack_id=out_slot[gidx],
-        ))
-    # second pass: per-block gather order (global pair order, like the
-    # sequential reference)
-    for gidx, (src, dst, _face) in enumerate(mesh.pairs):
-        do = mesh.owner[dst]
-        plan = plans[do]
-        lst = plan.sources.setdefault(dst, [])
-        if mesh.owner[src] == do:
-            lst.append(FaceSource("local", plan.slot_of[src]))
-        else:
-            lst.append(FaceSource("remote", in_slot[gidx]))
+        sender = plans[so]
+        slot, ack_id = len(receiver.in_pairs), len(sender.out_pairs)
+        receiver.in_pairs.append(InPair(gidx, src, dst, so, slot, ack_id))
+        sender.out_pairs.append(OutPair(gidx, src, do, sender.slot_of[src],
+                                        slot, ack_id))
+        receiver.sources[dst].append(FaceSource("remote", slot))
     return plans
 
-
-def initial_values_array(mesh: Mesh, plan: EpochPlan, variables: int) -> np.ndarray:
-    """Initial per-block values, laid out in the plan's slot order."""
-    from repro.apps.miniamr.reference import initial_value
-
-    arr = np.zeros((max(plan.n_blocks, 1), variables))
-    for b in plan.blocks:
-        arr[plan.slot_of[b]] = initial_value(mesh, b, variables)
-    return arr

@@ -27,7 +27,16 @@ def run_miniamr(spec: JobSpec, params: AMRParams,
     Returns throughput (GUpdates/s) plus the NR (negligible-refinement)
     throughput the paper reports alongside it (Fig. 11/12). ``tracer`` (a
     :class:`repro.trace.Tracer`) records the run's timeline.
+
+    With ``params.compute_data`` off (the cost model) block values are
+    never computed: the value and face buffers are content-free Extents
+    and only their sizes travel, so ``collect_values`` (the final block
+    values, for comparison with :func:`reference_evolution`) needs data
+    mode and raises ``ValueError`` otherwise.
     """
+    if collect_values and not params.compute_data:
+        raise ValueError("collect_values=True needs params.compute_data=True: "
+                         "a cost-model run computes no block values")
     job = build_job(spec, tracer=tracer)
     if schedule is None:
         schedule = build_mesh_schedule(params, job.spec.n_ranks)

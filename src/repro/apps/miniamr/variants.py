@@ -27,8 +27,10 @@ from typing import Dict, List
 import numpy as np
 
 from repro.apps.miniamr.mesh import AMRParams, MeshSchedule, source_of
-from repro.apps.miniamr.plan import EpochPlan, build_epoch_plans, initial_values_array
+from repro.apps.miniamr.plan import EpochPlan, build_epoch_plans
+from repro.apps.miniamr.reference import initial_value
 from repro.harness.runner import Job
+from repro.network.message import Extent
 from repro.tasking import In, InOut, Out
 
 _MIG_TAG = 1 << 20
@@ -48,28 +50,35 @@ class AMRJobState:
             build_epoch_plans(mesh, n_ranks, e)
             for e, mesh in enumerate(schedule.meshes)
         ]
-        #: vals[epoch][rank] -> [par0 array, par1 array] (n_blocks x V)
-        self.vals: List[List[List[np.ndarray]]] = []
-        for e in range(len(schedule.meshes)):
-            per_rank = []
-            for r in range(n_ranks):
-                n = max(self.plans[e][r].n_blocks, 1)
-                per_rank.append([np.zeros((n, params.variables)),
-                                 np.zeros((n, params.variables))])
-            self.vals.append(per_rank)
-        # epoch 0 initial values (parity 0)
-        for r in range(n_ranks):
-            self.vals[0][r][0][: self.plans[0][r].n_blocks] = initial_values_array(
-                schedule.meshes[0], self.plans[0][r], params.variables)
-        #: recv face buffers per epoch/rank: (n_in x V)
-        self.recv: List[List[np.ndarray]] = [
-            [np.zeros((max(len(self.plans[e][r].in_pairs), 1), params.variables))
-             for r in range(n_ranks)]
-            for e in range(len(schedule.meshes))
-        ]
+        #: vals[epoch][rank] -> [parity 0, parity 1] value buffers and
+        #: recv[epoch][rank] -> the incoming-face buffer, each indexed by
+        #: slot: n x V arrays, or in a cost-model run lists of one shared
+        #: row Extent (a size without contents)
+        row = None if params.compute_data else Extent(params.variables)
+
+        def buffer(rows: int):
+            rows = max(rows, 1)
+            return np.zeros((rows, params.variables)) if row is None else [row] * rows
+        self.vals: List[List[list]] = [
+            [[buffer(p.n_blocks), buffer(p.n_blocks)] for p in plans]
+            for plans in self.plans]
+        self.recv: List[List] = [[buffer(len(p.in_pairs)) for p in plans]
+                                 for plans in self.plans]
+        if params.compute_data:  # epoch 0 initial values (parity 0)
+            for r, plan in enumerate(self.plans[0]):
+                for slot, b in enumerate(plan.blocks):
+                    self.vals[0][r][0][slot] = initial_value(
+                        schedule.meshes[0], b, params.variables)
         self.ack_mem = [np.zeros(1) for _ in range(n_ranks)]
         #: refinement-phase windows (start, end) recorded by rank 0
         self.refine_windows: List[tuple] = []
+
+    def segment_memory(self, buf):
+        """What backs a GASPI segment over value or face buffer ``buf``:
+        the array, or in a cost-model run the Extent of all its rows."""
+        if isinstance(buf, np.ndarray):
+            return buf
+        return Extent(len(buf) * self.params.variables)
 
     def epoch_start_parity(self, epoch: int) -> int:
         steps_before = epoch * self.params.refine_every
@@ -107,19 +116,17 @@ class AMRJobState:
     # -- value plumbing shared by variants --------------------------------
     def inherit_local(self, rank: int, epoch: int) -> None:
         """Copy values of blocks whose source stayed on this rank (the
-        migrated ones arrive over the network)."""
+        migrated ones arrive over the network). Data mode only."""
         prev_plan = self.plans[epoch - 1][rank]
         cur_plan = self.plans[epoch][rank]
         prev_mesh = self.schedule.meshes[epoch - 1]
-        par_prev = self.epoch_start_parity(epoch - 1)
         # parity continues across the epoch boundary
-        steps_in_prev = self.params.refine_every * self.params.stages
-        par0 = (par_prev + steps_in_prev) % 2
-        src_arr = self.vals[epoch - 1][rank][par0]
-        dst_arr = self.vals[epoch][rank][self.epoch_start_parity(epoch)]
+        par = self.epoch_start_parity(epoch)
+        src_arr = self.vals[epoch - 1][rank][par]
+        dst_arr = self.vals[epoch][rank][par]
         for b in cur_plan.blocks:
             src = source_of(prev_mesh, b)
-            if src is not None and src in prev_plan.slot_of:
+            if src in prev_plan.slot_of:
                 dst_arr[cur_plan.slot_of[b]] = src_arr[prev_plan.slot_of[src]]
 
     def gather_update(self, rank: int, epoch: int, block, par: int) -> None:
@@ -129,7 +136,7 @@ class AMRJobState:
         recv = self.recv[epoch][rank]
         slot = plan.slot_of[block]
         old = vals[par][slot]
-        sources = plan.sources.get(block, [])
+        sources = plan.sources[block]
         if sources:
             acc = None
             for s in sources:
@@ -173,15 +180,15 @@ def mpi_only_main(state: AMRJobState, rank: int):
             yield from drv.barrier()
             # migration
             if e > 0:
-                state.inherit_local(rank, e)
+                if params.compute_data:
+                    state.inherit_local(rank, e)
+                # the parity continues across the epoch boundary
                 par0 = state.epoch_start_parity(e)
+                prev_plan = state.plans[e - 1][rank]
                 reqs = []
                 for i, (b, src, old_o, new_o) in enumerate(sched.moves[e - 1]):
                     if old_o == rank:
-                        prev_plan = state.plans[e - 1][rank]
-                        prev_par = (state.epoch_start_parity(e - 1)
-                                    + params.refine_every * params.stages) % 2
-                        row = state.vals[e - 1][rank][prev_par][prev_plan.slot_of[src]]
+                        row = state.vals[e - 1][rank][par0][prev_plan.slot_of[src]]
                         req = yield from drv.isend(row, new_o, _MIG_TAG + i)
                         reqs.append(req)
                     if new_o == rank:
@@ -248,7 +255,7 @@ def _epoch_deps(plan: EpochPlan, e: int):
         for b in plan.blocks:
             slot = plan.slot_of[b]
             deps = [v_in[par][slot], v_out[par][slot]]
-            for src in plan.sources.get(b, []):
+            for src in plan.sources[b]:
                 deps.append(v_in[par][src.slot] if src.kind == "local"
                             else faces[src.slot])
             per_block.append(tuple(deps))
@@ -296,14 +303,13 @@ def _hybrid_main(state: AMRJobState, rank: int, comm):
             yield from rt.flush()
             # migration with TAMPI tasks (library mixing, §VI-B)
             if e > 0:
-                state.inherit_local(rank, e)
-                par0 = state.epoch_start_parity(e)
+                if params.compute_data:
+                    state.inherit_local(rank, e)
+                par0 = state.epoch_start_parity(e)  # continues across epochs
                 prev_plan = state.plans[e - 1][rank]
-                prev_par = (state.epoch_start_parity(e - 1)
-                            + params.refine_every * params.stages) % 2
                 for i, (b, src, old_o, new_o) in enumerate(sched.moves[e - 1]):
                     if old_o == rank:
-                        row = state.vals[e - 1][rank][prev_par][prev_plan.slot_of[src]]
+                        row = state.vals[e - 1][rank][par0][prev_plan.slot_of[src]]
                         rt.submit(partial(mig_send, row, new_o, i), (),
                                   label="mig_send")
                     if new_o == rank:
@@ -322,7 +328,7 @@ def _hybrid_main(state: AMRJobState, rank: int, comm):
                      for p, d in zip(plan.in_pairs, recv_deps)]
             sends = [(p, comm.send_onready(e, p)) for p in plan.out_pairs]
             computes = [(b, tuple(plan.in_pairs[s.slot]
-                                  for s in plan.sources.get(b, [])
+                                  for s in plan.sources[b]
                                   if s.kind != "local"))
                         for b in plan.blocks]
             send, compute = comm.send, comm.compute
@@ -410,10 +416,11 @@ class TagaspiAMRComm:
 
     def epoch_setup(self, e: int) -> None:
         s0, s1, sr, sa = self._segs(e)
+        memory = self.state.segment_memory
         vals = self.state.vals[e][self.rank]
-        self.gaspi.segment_register(s0, vals[0])
-        self.gaspi.segment_register(s1, vals[1])
-        self.gaspi.segment_register(sr, self.state.recv[e][self.rank])
+        self.gaspi.segment_register(s0, memory(vals[0]))
+        self.gaspi.segment_register(s1, memory(vals[1]))
+        self.gaspi.segment_register(sr, memory(self.state.recv[e][self.rank]))
         self.gaspi.segment_register(sa, self.state.ack_mem[self.rank])
         # the agreement phase is a serial per-rank cost (§VI-B)
         self.state.job.runtimes[self.rank].charge_current_task(

@@ -469,3 +469,31 @@ class TestAnalysisCLI:
         assert main(["lint", str(p)]) == 1
         out = capsys.readouterr().out
         assert "[wallclock]" in out and "1 finding(s)" in out
+
+
+def test_harness_import_leaves_the_static_checkers_unloaded():
+    """The lint and the protocol verifier load on first use of their
+    names, not with the pipeline every job imports."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.harness; "
+            "print(sorted(m for m in sys.modules if m in "
+            "('repro.analysis.lint', 'repro.analysis.static')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
+    # and the lazy names still resolve, also through ``import *``
+    from repro.analysis import LintFinding, verify_file, verify_paths
+
+    from repro.analysis.lint import LintFinding as direct
+    assert LintFinding is direct and callable(verify_file)
+    assert callable(verify_paths)
+    namespace: dict = {}
+    exec("from repro.analysis import *", namespace)
+    assert namespace["lint_paths"] is lint_paths

@@ -124,6 +124,38 @@ class TestEndToEnd:
 
         assert thr(32) > thr(8)
 
+    def test_collect_values_needs_data_mode(self):
+        """A cost-model run computes no block values: asking for them is
+        refused at entry instead of returning the initial ones."""
+        params = AMRParams(**dict(SMALL, compute_data=False))
+        spec = JobSpec(machine=MACH4, n_nodes=2, variant="mpi",
+                       ranks_per_node=4)
+        with pytest.raises(ValueError, match="compute_data"):
+            run_miniamr(spec, params, collect_values=True)
+
+    @pytest.mark.parametrize("variant", ["mpi", "tampi", "tagaspi"])
+    def test_cost_model_buffers_are_content_free(self, variant):
+        """Without data the value and face buffers hold only sizes, and
+        the run's simulated time equals the data-mode run's."""
+        from repro.apps.miniamr.variants import AMRJobState
+        from repro.harness.runner import build_job
+        from repro.network.message import Extent
+
+        spec = JobSpec(machine=MACH4, n_nodes=2, variant=variant,
+                       ranks_per_node=1 if variant != "mpi" else 4,
+                       poll_period_us=50)
+        model = AMRParams(**dict(SMALL, compute_data=False))
+        state = AMRJobState(build_job(spec), model,
+                            build_mesh_schedule(model, spec.n_ranks))
+        rows = [row for per_rank in state.vals for bufs in per_rank
+                for buf in bufs for row in buf]
+        rows += [row for per_rank in state.recv for buf in per_rank
+                 for row in buf]
+        assert rows and all(isinstance(r, Extent) and r.size == 4
+                            for r in rows)
+        data = run_miniamr(spec, AMRParams(**SMALL)).sim_time
+        assert run_miniamr(spec, model).sim_time == data
+
     def test_tagaspi_uses_both_libraries(self):
         """§VI-B interop: the TAGASPI variant migrates data with TAMPI."""
         params = AMRParams(**SMALL)
