@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -344,14 +344,14 @@ def build_mesh_schedule(params: AMRParams, n_ranks: int) -> MeshSchedule:
     return sched
 
 
-def source_of(prev: Mesh, b: BlockKey) -> BlockKey:
+def source_of(prev: Mesh, b: BlockKey) -> Optional[BlockKey]:
     """The block in the previous mesh whose data initializes ``b``: itself
     if unchanged, its canonical (Morton-first) descendant if ``b``
     coarsens several, or its ancestor if ``b`` was refined out of it."""
     src = prev.first_descendant.get(b)
-    if src is not None:
-        return src
     L, x, y, z = b
-    while (L, x, y, z) not in prev.leaves:  # the leaves tile the domain
+    while src is None and L > 0:
         L, x, y, z = L - 1, x >> 1, y >> 1, z >> 1
-    return prev.order[prev.index[(L, x, y, z)]]
+        i = prev.index.get((L, x, y, z))
+        src = None if i is None else prev.order[i]
+    return src
