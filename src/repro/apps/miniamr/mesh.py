@@ -30,7 +30,6 @@ import numpy as np
 BlockKey = Tuple[int, int, int, int]  # (level, ix, iy, iz)
 
 
-
 @dataclass
 class AMRParams:
     """miniAMR configuration (downscaled from the paper's input)."""
@@ -285,9 +284,9 @@ def _enforce_2to1(params: AMRParams, leaves: Set[BlockKey]) -> None:
                 yield (L, *n)
 
     def holds_finer(cube: BlockKey) -> bool:
-        """True if ``cube`` (not a leaf) holds a leaf ≥2 levels finer: the
-        leaves tile the domain, so that is when it lies in no coarser leaf
-        and not all of its children are leaves."""
+        """True if ``cube`` holds a leaf ≥2 levels finer: the leaves tile
+        the domain, so that is when it lies in no leaf of its level or
+        coarser and not all of its children are leaves."""
         L, x, y, z = cube
         for _ in range(L + 1):
             if (L, x, y, z) in leaves:

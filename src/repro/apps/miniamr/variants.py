@@ -59,6 +59,7 @@ class AMRJobState:
         def buffer(rows: int):
             rows = max(rows, 1)
             return np.zeros((rows, params.variables)) if row is None else [row] * rows
+
         self.vals: List[List[list]] = [
             [[buffer(p.n_blocks), buffer(p.n_blocks)] for p in plans]
             for plans in self.plans]

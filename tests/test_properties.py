@@ -1,11 +1,20 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.gauss_seidel.common import gs_sweep_block, partition_rows
-from repro.apps.miniamr.mesh import AMRParams, build_mesh, make_objects
+from repro.apps.miniamr.mesh import (
+    AMRParams,
+    _enforce_2to1,
+    build_mesh,
+    build_mesh_schedule,
+    make_objects,
+    source_of,
+)
 from repro.gaspi.segments import Segment
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.requests import Request
@@ -16,6 +25,7 @@ from repro.mpi.threading import GlobalLock
 from repro.tasking import Runtime, RuntimeConfig, In, Out, InOut
 from tests.conftest import run_all
 from tests.reference.heap_engine import HeapEngine
+from tests.reference import scan_mesh
 from tests.reference.linear_matching import LinearMatchingEngine
 
 
@@ -201,6 +211,63 @@ class TestMeshProperties:
                     directed.add((b, nb))
         for (a, b) in directed:
             assert (b, a) in directed
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_balance_of_random_octrees_matches_the_oracle(self, seed,
+                                                          max_level):
+        """Sharp level jumps, which smooth refinement bands rarely make,
+        force chains of 2:1 refinements across levels."""
+        rng = random.Random(seed)
+        params = AMRParams(nx=3, ny=2, nz=2, max_level=max_level)
+        leaves = {(0, x, y, z) for x in range(3) for y in range(2)
+                  for z in range(2)}
+        for _ in range(rng.randint(1, 12)):
+            L, x, y, z = b = rng.choice(sorted(leaves))
+            if L < max_level:
+                leaves.discard(b)
+                leaves.update((L + 1, 2 * x + i, 2 * y + j, 2 * z + k)
+                              for i in (0, 1) for j in (0, 1) for k in (0, 1))
+        expected = set(leaves)
+        scan_mesh._enforce_2to1(params, expected)
+        _enforce_2to1(params, leaves)
+        assert leaves == expected
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 3),
+           st.tuples(*[st.integers(1, 3)] * 3), st.integers(1, 3),
+           st.integers(1, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_linear_mesh_matches_the_rescanning_oracle(self, seed, max_level,
+                                                       dims, n_objects,
+                                                       n_ranks):
+        """Leaves, Morton order, face pairs, owners, moves and sources
+        equal those of the original construction
+        (tests/reference/scan_mesh.py) on random shapes."""
+        nx, ny, nz = dims
+        params = AMRParams(nx=nx, ny=ny, nz=nz, max_level=max_level,
+                           seed=seed, n_objects=n_objects, timesteps=2,
+                           refine_every=1)
+        sched = build_mesh_schedule(params, n_ranks)
+        objs = make_objects(params)
+        for e, mesh in enumerate(sched.meshes):
+            leaves = scan_mesh.build_leaves(params, objs, e)
+            assert mesh.leaves == leaves
+            assert mesh.order == sorted(
+                leaves, key=lambda b: scan_mesh.morton_key(params, b))
+            assert mesh.pairs == [
+                (b, nb, f) for b in mesh.order for f in range(6)
+                for nb in scan_mesh.face_neighbors(params, leaves, b, f)]
+            base, extra = divmod(len(mesh.order), n_ranks)
+            sizes = [base + (r < extra) for r in range(n_ranks)]
+            assert [mesh.owner[b] for b in mesh.order] == [
+                r for r, n in enumerate(sizes) for _ in range(n)]
+        prev, cur = sched.meshes
+        sources = [scan_mesh.source_of(prev, b) for b in cur.order]
+        assert [source_of(prev, b) for b in cur.order] == sources
+        assert sched.moves == [[
+            (b, src, prev.owner[src], cur.owner[b])
+            for b, src in zip(cur.order, sources)
+            if prev.owner[src] != cur.owner[b]]]
 
 
 class TestMatchingDifferentialOracle:
