@@ -11,12 +11,9 @@ EXPERIMENTS.md, prints the series, asserts the paper's qualitative claims
 Artifacts land in ``benchmarks/out/`` unless ``REPRO_BENCH_DIR`` is set.
 
 The figure sweeps run through :class:`repro.harness.parallel.SweepExecutor`
-(:func:`sweep_executor` below), so they shard across processes and memoize
-per point without changing any result:
-
-* ``REPRO_SWEEP_WORKERS=N`` — process-pool size (default 1, serial);
-* ``REPRO_CACHE_DIR=path``  — persistent result cache; re-running a figure
-  benchmark after an unrelated edit then executes nothing.
+(:func:`sweep_executor` below), so they shard across processes without
+changing any result: ``REPRO_SWEEP_WORKERS=N`` sets the process-pool size
+(default 1, serial).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import time
 
 import pytest
 
-from repro.harness.parallel import ResultCache, SweepExecutor
+from repro.harness.parallel import SweepExecutor
 
 #: default artifact directory of :func:`record_bench` (git-ignored)
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -72,22 +69,16 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(timed, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def sweep_executor(**overrides) -> SweepExecutor:
+def sweep_executor() -> SweepExecutor:
     """A :class:`SweepExecutor` configured from the environment (see module
-    docstring); keyword overrides win."""
-    kwargs: dict = {"workers": int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))}
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        kwargs["cache"] = ResultCache(cache_dir)
-    kwargs.update(overrides)
-    return SweepExecutor(**kwargs)
+    docstring)."""
+    return SweepExecutor(workers=int(os.environ.get("REPRO_SWEEP_WORKERS", "1")))
 
 
 def sweep_kwargs() -> dict:
     """The same environment configuration as :func:`sweep_executor`, shaped
-    for :func:`repro.harness.run_variants`'s ``workers=``/``cache=``."""
-    ex = sweep_executor()
-    return {"workers": ex.workers, "cache": ex.cache}
+    for :func:`repro.harness.run_variants`'s ``workers=``."""
+    return {"workers": sweep_executor().workers}
 
 
 def _jsonable(value):

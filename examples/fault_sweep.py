@@ -9,11 +9,10 @@ corrupted (retransmission is exactly-once), and the empty plan is
 bit-identical to a fault-free run.
 
 The 3×3 grid runs through the parallel sweep layer (docs/harness.md):
-``--workers N`` shards the independent points across processes, and
-``--cache DIR`` memoizes them on disk — a second invocation with the same
-cache executes nothing.
+``--workers N`` shards the independent points across processes, with the
+same results as the serial run.
 
-    python examples/fault_sweep.py [--workers N] [--cache DIR]
+    python examples/fault_sweep.py [--workers N]
 """
 
 import argparse
@@ -23,13 +22,7 @@ import numpy as np
 from repro.apps.gauss_seidel import GSParams, gs_reference, run_gauss_seidel
 from repro.apps.gauss_seidel.common import initial_grid
 from repro.faults import FaultPlan, RecoveryPolicy
-from repro.harness import (
-    MARENOSTRUM4,
-    ResultCache,
-    SweepExecutor,
-    fault_sweep_table,
-    run_variants,
-)
+from repro.harness import MARENOSTRUM4, fault_sweep_table, run_variants
 
 MACH = MARENOSTRUM4.with_cores(4)
 PLANS = {
@@ -43,29 +36,19 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workers", type=int, default=1,
                     help="process-pool size for the sweep grid (default 1)")
-    ap.add_argument("--cache", default=None, metavar="DIR",
-                    help="persist per-point results here and reuse them")
     # parse_known_args: the test suite runs this file via runpy with
     # pytest's own argv still in place
     args, _ = ap.parse_known_args()
-
-    executor = SweepExecutor(
-        workers=args.workers,
-        cache=ResultCache(args.cache) if args.cache else None)
 
     params = GSParams(rows=128, cols=128, timesteps=4, block_size=32)
     print(f"Gauss-Seidel {params.rows}x{params.cols}, "
           f"{params.timesteps} timesteps, 2 nodes, fault plans: "
           f"{', '.join(PLANS)} "
-          f"({args.workers} worker(s), cache={args.cache or 'off'})\n")
+          f"({args.workers} worker(s))\n")
 
     results = run_variants(run_gauss_seidel, MACH, 2, params, faults=PLANS,
-                           executor=executor)
+                           workers=args.workers)
     print(fault_sweep_table("fault-intensity sweep", results))
-    if args.cache:
-        st = executor.stats()
-        print(f"\nsweep cache: {st['hits']} hit(s), {st['misses']} miss(es), "
-              f"{st['executed']} point(s) executed")
 
     # faults may slow the run down but must never corrupt the numerics
     reference = gs_reference(params, initial_grid(params))

@@ -16,21 +16,9 @@ documents the scaling); every figure's bench builds jobs through
 from repro.harness.machines import Machine, MARENOSTRUM4, CTE_AMD
 from repro.harness.runner import JobSpec, Job, build_job, VariantError, VARIANTS
 from repro.harness.metrics import VariantResult, speedup, parallel_efficiency
-from repro.harness.parallel import (
-    CacheStats,
-    ResultCache,
-    SweepExecutor,
-    SweepPoint,
-    SweepPointError,
-    cache_key,
-)
+from repro.harness.parallel import SweepExecutor, SweepPoint
 from repro.harness.report import format_table, format_series
-from repro.harness.sweep import (
-    SweepAxis,
-    fault_sweep_table,
-    register_axis,
-    run_variants,
-)
+from repro.harness.sweep import fault_sweep_table, run_variants
 
 __all__ = [
     "Machine",
@@ -44,16 +32,10 @@ __all__ = [
     "VariantResult",
     "speedup",
     "parallel_efficiency",
-    "CacheStats",
-    "ResultCache",
     "SweepExecutor",
     "SweepPoint",
-    "SweepPointError",
-    "cache_key",
     "format_table",
     "format_series",
     "run_variants",
     "fault_sweep_table",
-    "SweepAxis",
-    "register_axis",
 ]

@@ -473,7 +473,8 @@ class TestAnalysisCLI:
 
 def test_harness_import_leaves_the_static_checkers_unloaded():
     """The lint and the protocol verifier load on first use of their
-    names, not with the pipeline every job imports."""
+    names, not with the pipeline every job imports; the sweep's process
+    pool loads on the first parallel map."""
     import subprocess
     import sys
     from pathlib import Path
@@ -483,7 +484,8 @@ def test_harness_import_leaves_the_static_checkers_unloaded():
     src = str(Path(repro.__file__).resolve().parents[1])
     code = ("import sys, repro.harness; "
             "print(sorted(m for m in sys.modules if m in "
-            "('repro.analysis.lint', 'repro.analysis.static')))")
+            "('repro.analysis.lint', 'repro.analysis.static', "
+            "'multiprocessing', 'concurrent.futures')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout

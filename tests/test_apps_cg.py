@@ -75,13 +75,6 @@ class TestBackendAxis:
             ("mild", "twosided"), ("mild", "gaspi"),
         ]
 
-    def test_duplicate_axis_registration_rejected(self):
-        from repro.harness import SweepAxis, register_axis
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_axis(SweepAxis(name="backend", spec_field="backend",
-                                    is_grid=lambda v: True, normalize=dict))
-
 
 class TestFaults:
     def test_exact_under_severe_faults(self):

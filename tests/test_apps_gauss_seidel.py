@@ -174,3 +174,34 @@ class TestModelMode:
         b = run_gauss_seidel(JobSpec(machine=MACH4, n_nodes=2, variant="tampi",
                                      seed=5), params)
         assert a.sim_time == b.sim_time
+
+
+class TestGSGeometry:
+    def test_clipped_block_rows_still_exact(self):
+        """local_rows not divisible by block_size: the last block row is
+        short; numerics must be unaffected."""
+        params = GSParams(rows=44, cols=16, timesteps=3, block_size=8)
+        ref = gs_reference(params, initial_grid(params))
+        spec = JobSpec(machine=MACH4, n_nodes=2, variant="tagaspi",
+                       poll_period_us=50)
+        res = run_gauss_seidel(spec, params, collect_grid=True)
+        assert np.array_equal(res.extra["grid"], ref)
+
+    def test_slow_polling_still_correct(self):
+        """A very slow poller delays completion but never loses it."""
+        params = GSParams(rows=24, cols=16, timesteps=2, block_size=8)
+        ref = gs_reference(params, initial_grid(params))
+        fast = run_gauss_seidel(
+            JobSpec(machine=MACH4, n_nodes=2, variant="tagaspi",
+                    poll_period_us=10), params, collect_grid=True)
+        slow = run_gauss_seidel(
+            JobSpec(machine=MACH4, n_nodes=2, variant="tagaspi",
+                    poll_period_us=2000), params, collect_grid=True)
+        assert np.array_equal(fast.extra["grid"], ref)
+        assert np.array_equal(slow.extra["grid"], ref)
+        assert slow.sim_time > fast.sim_time
+
+    def test_gupdates_accounting(self):
+        params = GSParams(rows=10, cols=10, timesteps=3, block_size=5)
+        assert params.total_updates == 300
+        assert params.gupdates(1.0) == pytest.approx(300 / 1e9)

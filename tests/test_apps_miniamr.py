@@ -219,3 +219,18 @@ def test_schedule_and_plans_digest_is_pinned(params, n_ranks, digest):
     of (params, n_ranks); any change to how they are computed must leave
     every order, owner, pair, move, slot and gather source where it was."""
     assert _schedule_digest(params, n_ranks) == digest
+
+
+class TestParamsValidation:
+    def test_amr_params_rejects_nonsense(self):
+        with pytest.raises(ValueError):
+            AMRParams(timesteps=0)
+        with pytest.raises(ValueError):
+            AMRParams(max_level=-1)
+
+    def test_amr_derived_quantities(self):
+        p = AMRParams(variables=10, cell_dim=4, timesteps=9, refine_every=4)
+        assert p.n_epochs == 3
+        assert p.face_bytes() == 10 * 16 * 8
+        assert p.block_bytes() == 10 * 64 * 8
+        assert p.cell_updates_per_block() == 640

@@ -110,3 +110,12 @@ class TestPerformanceModel:
             return run_streaming_steady(spec, params, warm_chunks=4).throughput
 
         assert thr("tagaspi") > thr("tampi")
+
+
+class TestParamsValidation:
+    def test_streaming_params_blocks(self):
+        p = StreamingParams(chunks=2, elements_per_chunk=128, block_size=32)
+        assert p.blocks_per_chunk == 4
+        assert p.gelements(2.0) == pytest.approx(2 * 128 / 2.0 / 1e9)
+        with pytest.raises(ValueError):
+            StreamingParams(chunks=0, elements_per_chunk=8, block_size=8)

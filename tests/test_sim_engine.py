@@ -582,3 +582,29 @@ class TestScheduleBatch:
         with pytest.raises(RuntimeError, match="late"):
             eng.run()
         assert fired == ["tail"]  # tail (seq 2) fires before boom (seq 3)
+
+
+class TestEngineGuards:
+    def test_reentrant_run_rejected(self):
+        eng = Engine()
+
+        def body():
+            with pytest.raises(SimulationError, match="re-entrant"):
+                eng.run()
+            yield eng.timeout(0.1)
+
+        eng.process(body())
+        eng.run()
+
+    def test_peek_on_empty_queue(self):
+        assert Engine().peek() == float("inf")
+
+    def test_run_until_complete_reports_value_of_failed_process(self):
+        eng = Engine()
+
+        def bad():
+            yield eng.timeout(0.1)
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            eng.run_until_complete(eng.process(bad()))
